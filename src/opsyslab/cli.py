@@ -16,10 +16,10 @@ import time
 import numpy as np
 
 from .defects import (
+    UNITARY_PLATEAU,
     product_closure_defect,
     unitarity_score,
     unitary_average_decompose,
-    unitary_plateau_constant,
     walter_matrix,
 )
 from .logic import EvalConfig, evaluate, sentence_from_json
@@ -41,33 +41,13 @@ class _ParseFailure(Exception):
     pass
 
 
-def _load_json(path):
+def _load(path, parse):
+    """Read a JSON file and parse it; any failure is an input parse failure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return parse(json.load(fh))
+    except (OSError, ValueError) as exc:
         raise _ParseFailure(f"cannot parse {path}: {exc}") from exc
-
-
-def _load_matrix(path):
-    try:
-        return matrix_from_json(_load_json(path))
-    except ValueError as exc:
-        raise _ParseFailure(f"{path}: {exc}") from exc
-
-
-def _load_system(path):
-    try:
-        return system_from_json(_load_json(path))
-    except ValueError as exc:
-        raise _ParseFailure(f"{path}: {exc}") from exc
-
-
-def _load_ucp(path):
-    try:
-        return ucp_from_json(_load_json(path))
-    except ValueError as exc:
-        raise _ParseFailure(f"{path}: {exc}") from exc
 
 
 def _config(args) -> EvalConfig:
@@ -80,8 +60,8 @@ def _config(args) -> EvalConfig:
 
 
 def _cmd_check_closure(args):
-    system = _load_system(args.system)
-    ambient = _load_system(args.ambient)
+    system = _load(args.system, system_from_json)
+    ambient = _load(args.ambient, system_from_json)
     report = product_closure_defect(system, ambient, _config(args))
     closed, oracle_defect = is_product_closed(system)
     result = {
@@ -97,18 +77,14 @@ def _cmd_check_closure(args):
 
 
 def _cmd_eval(args):
-    sentence_obj = _load_json(args.sentence)
-    try:
-        sentence = sentence_from_json(sentence_obj)
-    except ValueError as exc:
-        raise _ParseFailure(f"{args.sentence}: {exc}") from exc
+    sentence = _load(args.sentence, sentence_from_json)
     structures = {}
     inputs = [args.sentence]
     for item in args.structure or ():
         if "=" not in item:
             raise _ParseFailure(f"--structure expects NAME=FILE, got {item!r}")
         name, path = item.split("=", 1)
-        structures[name] = _load_system(path)
+        structures[name] = _load(path, system_from_json)
         inputs.append(path)
     res = evaluate(sentence, structures, _config(args))
     result = {
@@ -122,25 +98,24 @@ def _cmd_eval(args):
 
 
 def _cmd_detect_unitary(args):
-    u = _load_matrix(args.matrix)
+    u = _load(args.matrix, matrix_from_json)
     config = _config(args)
     scores = {str(n): unitarity_score(u, n, config) for n in range(1, args.n_max + 1)}
-    plateau = unitary_plateau_constant()
-    flag = all(v >= plateau - config.opt_tol for v in scores.values())
+    flag = all(v >= UNITARY_PLATEAU - config.opt_tol for v in scores.values())
     result = {
-        "defect": max(0.0, plateau - min(scores.values())),
+        "defect": max(0.0, UNITARY_PLATEAU - min(scores.values())),
         "is_unitary": bool(flag),
         "scores": scores,
-        "plateau_constant": plateau,
+        "plateau_constant": UNITARY_PLATEAU,
         "exact_defect": unitary_defect(u),
     }
     return result, [args.matrix]
 
 
 def _cmd_walter(args):
-    u = _load_matrix(args.u)
-    v = _load_matrix(args.v)
-    x = _load_matrix(args.x)
+    u = _load(args.u, matrix_from_json)
+    v = _load(args.v, matrix_from_json)
+    x = _load(args.x, matrix_from_json)
     w = walter_matrix(u, v, x)
     dist = dist_to_psd(w)
     result = {
@@ -152,7 +127,7 @@ def _cmd_walter(args):
 
 
 def _cmd_decompose(args):
-    x = _load_matrix(args.matrix)
+    x = _load(args.matrix, matrix_from_json)
     units = unitary_average_decompose(x)
     rec = sum(units) / 2
     err = op_norm(rec - x)
@@ -193,7 +168,7 @@ def _cmd_ucp_suite(args):
 
 
 def _cmd_pisier(args):
-    phi = _load_ucp(args.map)
+    phi = _load(args.map, ucp_from_json)
     rng = np.random.default_rng(args.seed)
     trials = clock_shift_unitaries(phi.dom_dim)
     pairs = [

@@ -10,7 +10,6 @@ tight upper bound rather than a heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +52,7 @@ __all__ = [
     "ClosureReport",
     "closure_sentence",
     "product_closure_defect",
-    "unitary_plateau_constant",
+    "UNITARY_PLATEAU",
     "unitarity_score",
     "unitarity_score_formula",
     "unitary_detect",
@@ -199,33 +198,16 @@ def product_closure_defect(A: OperatorSystem, B: OperatorSystem,
 # Unitarity scores
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def unitary_plateau_constant() -> float:
-    """Value of the unitarity score at unitaries, pinned by brute force.
+UNITARY_PLATEAU = 1.0
+"""Value of the unitarity score at every unitary u and level n.
 
-    Grid search over scalar contractions x at u of modulus one: the score body
-    min(|u|^2 + |x|^2, |u|^2 + |x|^2) - |x|^2 is constant |u|^2 = 1, so the
-    infimum sits exactly at 1.
-    """
-    u = 1.0 + 0.0j
-    best = np.inf
-    for r in np.linspace(0.0, 1.0, 41):
-        for phi in np.linspace(0.0, 2 * np.pi, 48, endpoint=False):
-            x = r * np.exp(1j * phi)
-            row = abs(u) ** 2 + abs(x) ** 2
-            col = abs(u) ** 2 + abs(x) ** 2
-            best = min(best, min(row, col) - abs(x) ** 2)
-    return float(best)
+At a unitary u (x) 1_n, ||[u (x) 1_n, x]||^2 = ||1 + xx*|| = 1 + ||x||^2, and the
+column form gives 1 + ||x*x|| = 1 + ||x||^2 as well, so the score body equals 1
+for every x.
+"""
 
 
-def unitarity_score_formula(u_var: str, n: int, ball_structure: str,
-                            x_var: str = "x") -> Formula:
-    """inf_{||x|| <= 1} (min(||[u(x)1_n, x]||^2, ||[u(x)1_n; x]||^2) - ||x||^2).
-
-    The inner variable ranges over the radius-1 ball of the named structure,
-    which must be the full algebra at the amplified dimension.
-    """
-    amped = Amp(Var(u_var), n)
+def _unitarity_sentence(amped, ball_structure: str, x_var: str = "x") -> Formula:
     body = DotMinus(
         Min(
             NormSq(Block(((amped, Var(x_var)),))),
@@ -236,10 +218,20 @@ def unitarity_score_formula(u_var: str, n: int, ball_structure: str,
     return Inf(((x_var, Ball(ball_structure, 1.0)),), body)
 
 
+def unitarity_score_formula(u_var: str, n: int, ball_structure: str,
+                            x_var: str = "x") -> Formula:
+    """inf_{||x|| <= 1} (min(||[u(x)1_n, x]||^2, ||[u(x)1_n; x]||^2) - ||x||^2).
+
+    The inner variable ranges over the radius-1 ball of the named structure,
+    which must be the full algebra at the amplified dimension.
+    """
+    return _unitarity_sentence(Amp(Var(u_var), n), ball_structure, x_var)
+
+
 def unitarity_score(u, n: int = 1, config: EvalConfig | None = None) -> float:
     """Upper estimate of the unitarity score of a contraction u at level n.
 
-    Constantly the plateau value at unitaries; strictly smaller for strict
+    Constantly UNITARY_PLATEAU at unitaries; strictly smaller for strict
     contractions (the minimal singular pair of u (x) 1_n is always among the
     starts, giving a value at most sigma_min(u)^2).
     """
@@ -249,30 +241,19 @@ def unitarity_score(u, n: int = 1, config: EvalConfig | None = None) -> float:
     if op_norm(a) > 1.0 + 1e-10:
         raise ValueError("unitarity score needs a contraction")
     amped = amplify(a, n)
-    m = amped.shape[0]
-    full = full_matrix_algebra(m)
-
-    body = DotMinus(
-        Min(
-            NormSq(Block(((Const(amped), Var("x")),))),
-            NormSq(Block(((Const(amped),), (Var("x"),)))),
-        ),
-        NormSq(Var("x")),
-    )
-    sentence = Inf((("x", Ball("X", 1.0)),), body)
-
+    full = full_matrix_algebra(amped.shape[0])
     uu, _, vh = np.linalg.svd(amped)
     min_pair = np.outer(uu[:, -1], vh[-1, :])
-    result = evaluate(sentence, {"X": full}, config, hints=[{"x": min_pair}])
+    result = evaluate(_unitarity_sentence(Const(amped), "X"), {"X": full}, config,
+                      hints=[{"x": min_pair}])
     return result.value
 
 
 def unitary_detect(u, n_max: int = 2, config: EvalConfig | None = None) -> bool:
     """True when the unitarity score sits on the plateau for all levels <= n_max."""
     config = config or EvalConfig()
-    c_star = unitary_plateau_constant()
     return all(
-        unitarity_score(u, n, config) >= c_star - config.opt_tol
+        unitarity_score(u, n, config) >= UNITARY_PLATEAU - config.opt_tol
         for n in range(1, n_max + 1)
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -118,7 +118,7 @@ class Sum(Term):
 
 @dataclass(frozen=True, eq=False)
 class Block(Term):
-    grid: tuple
+    grid: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(_as_term(cell) for cell in row) for row in self.grid)
@@ -257,7 +257,7 @@ def _norm_bindings(bindings):
 
 @dataclass(frozen=True, eq=False)
 class Sup(Formula):
-    bindings: tuple
+    bindings: tuple[tuple[str, Ball | UnitaryBall], ...]
     body: Formula
 
     def __post_init__(self):
@@ -266,7 +266,7 @@ class Sup(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Inf(Formula):
-    bindings: tuple
+    bindings: tuple[tuple[str, Ball | UnitaryBall], ...]
     body: Formula
 
     def __post_init__(self):
@@ -278,7 +278,7 @@ class Pred(Formula):
     """Call of a registered predicate; expands to its body at evaluation."""
 
     name: str
-    args: tuple
+    args: tuple[Term, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(_as_term(a) for a in self.args))
@@ -331,25 +331,135 @@ def register_predicate(name: str, params: Sequence[str], body: Formula,
 
 
 # ---------------------------------------------------------------------------
-# Tree utilities
+# Field table and traversal
 # ---------------------------------------------------------------------------
 
-def _children(node):
-    if isinstance(node, (Adj, Scale, Amp)):
-        return (node.arg,)
-    if isinstance(node, (Sum, Prod)):
-        return (node.left, node.right)
-    if isinstance(node, Block):
-        return tuple(cell for row in node.grid for cell in row)
-    if isinstance(node, (Norm, NormSq, SpanDist, PsdDist, Times)):
-        return (node.arg,)
-    if isinstance(node, (AbsDiff, DotMinus, Max, Min, Plus)):
-        return (node.left, node.right)
-    if isinstance(node, (Sup, Inf)):
-        return (node.body,)
-    if isinstance(node, Pred):
-        return node.args
-    return ()
+# Each node class is a dataclass.  Its fields, in declaration order, give its
+# JSON array after the tag, its children in traversal order and, parameters
+# before children, the bytes of its search seed.  A field's codec is looked up
+# from its annotation string (this module postpones annotations).
+
+@dataclass(frozen=True)
+class _Codec:
+    encode: Callable
+    decode: Callable
+    seed: Callable = lambda value: ()             # parameter bytes of the search seed
+    children: Callable = lambda value: ()         # child nodes, in order
+    rebuild: Callable = lambda value, it: value   # the value with children drawn from it
+
+
+def _array(value, length: int | None = None) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "an array" if length is None else f"an array of {length}"
+        raise ValueError(f"expected {size}, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _complex_from_json(value) -> complex:
+    re, im = _array(value, 2)
+    return complex(_number(re), _number(im))
+
+
+def _bindings_to_json(bindings) -> list:
+    return [[name, ball.structure, "U" if isinstance(ball, UnitaryBall) else float(ball.radius)]
+            for name, ball in bindings]
+
+
+def _bindings_from_json(value) -> tuple:
+    out = []
+    for item in _array(value):
+        name, structure, spec = _array(item, 3)
+        if spec == "U":
+            ball = UnitaryBall(_string(structure))
+        else:
+            ball = Ball(_string(structure), _number(spec))
+        out.append((_string(name), ball))
+    return tuple(out)
+
+
+def _bindings_seed(bindings):
+    for name, ball in bindings:
+        yield name.encode()
+        yield type(ball).__name__.encode()
+        yield ball.structure.encode()
+        if isinstance(ball, Ball):
+            yield np.float64(ball.radius).tobytes()
+
+
+def _child_codec(kind: type) -> _Codec:
+    return _Codec(lambda node: _to_json(node, kind), lambda value: _from_json(value, kind),
+                  children=lambda node: (node,), rebuild=lambda node, it: next(it))
+
+
+_CODECS = {
+    "str": _Codec(str, _string, seed=lambda s: (s.encode(),)),
+    "int": _Codec(int, _integer, seed=lambda n: (str(n).encode(),)),
+    "float": _Codec(float, _number, seed=lambda x: (np.float64(x).tobytes(),)),
+    "complex": _Codec(lambda c: [float(c.real), float(c.imag)], _complex_from_json,
+                      seed=lambda c: (np.complex128(c).tobytes(),)),
+    "np.ndarray": _Codec(matrix_to_json, matrix_from_json,
+                         seed=lambda a: (np.ascontiguousarray(a).tobytes(),
+                                         repr(a.shape).encode())),
+    "tuple[tuple[str, Ball | UnitaryBall], ...]": _Codec(
+        _bindings_to_json, _bindings_from_json, seed=_bindings_seed),
+    "Term": _child_codec(Term),
+    "Formula": _child_codec(Formula),
+    "tuple[Term, ...]": _Codec(
+        lambda ts: [_to_json(t, Term) for t in ts],
+        lambda v: tuple(_from_json(t, Term) for t in _array(v)),
+        children=lambda ts: ts, rebuild=lambda ts, it: tuple(next(it) for _ in ts)),
+    "tuple[tuple[Term, ...], ...]": _Codec(
+        lambda grid: [[_to_json(t, Term) for t in row] for row in grid],
+        lambda v: tuple(tuple(_from_json(t, Term) for t in _array(row)) for row in _array(v)),
+        children=lambda grid: tuple(t for row in grid for t in row),
+        rebuild=lambda grid, it: tuple(tuple(next(it) for _ in row) for row in grid)),
+}
+
+_TAGS = {
+    Var: "var", Const: "const", Unit: "unit", Adj: "adj", Scale: "scale",
+    Sum: "sum", Prod: "prod", Amp: "amp", Block: "block",
+    Norm: "norm", NormSq: "norm_sq", SpanDist: "span_dist", PsdDist: "psd_dist",
+    AbsDiff: "abs_diff", DotMinus: "dotminus", Max: "max", Min: "min", Plus: "plus",
+    Times: "times", Lit: "lit", Sup: "sup", Inf: "inf", Pred: "pred",
+}
+_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
+_FIELDS = {cls: tuple((f.name, _CODECS[f.type]) for f in fields(cls)) for cls in _TAGS}
+
+
+def _fields_of(node) -> tuple:
+    try:
+        return _FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"not a sentence node: {type(node).__name__}") from None
+
+
+def _children(node) -> tuple:
+    return tuple(child for name, codec in _fields_of(node)
+                 for child in codec.children(getattr(node, name)))
+
+
+def _rebuild(node, children):
+    it = iter(children)
+    return type(node)(*[codec.rebuild(getattr(node, name), it)
+                        for name, codec in _fields_of(node)])
 
 
 def free_variables(node) -> set[str]:
@@ -362,59 +472,6 @@ def free_variables(node) -> set[str]:
     for child in _children(node):
         out |= free_variables(child)
     return out
-
-
-def _bound_variables(node) -> set[str]:
-    out: set[str] = set()
-    if isinstance(node, (Sup, Inf)):
-        out |= {name for name, _ in node.bindings}
-    for child in _children(node):
-        out |= _bound_variables(child)
-    return out
-
-
-def _rebuild(node, children):
-    it = iter(children)
-    if isinstance(node, Adj):
-        return Adj(next(it))
-    if isinstance(node, Scale):
-        return Scale(node.coeff, next(it))
-    if isinstance(node, Amp):
-        return Amp(next(it), node.copies)
-    if isinstance(node, Sum):
-        return Sum(next(it), next(it))
-    if isinstance(node, Prod):
-        return Prod(next(it), next(it))
-    if isinstance(node, Block):
-        ncols = len(node.grid[0])
-        cells = list(children)
-        grid = tuple(tuple(cells[i * ncols:(i + 1) * ncols]) for i in range(len(node.grid)))
-        return Block(grid)
-    if isinstance(node, Norm):
-        return Norm(next(it))
-    if isinstance(node, NormSq):
-        return NormSq(next(it))
-    if isinstance(node, SpanDist):
-        return SpanDist(next(it), node.structure)
-    if isinstance(node, PsdDist):
-        return PsdDist(next(it), node.structure)
-    if isinstance(node, Times):
-        return Times(node.coeff, next(it))
-    if isinstance(node, AbsDiff):
-        return AbsDiff(next(it), next(it))
-    if isinstance(node, DotMinus):
-        return DotMinus(next(it), next(it))
-    if isinstance(node, Max):
-        return Max(next(it), next(it))
-    if isinstance(node, Min):
-        return Min(next(it), next(it))
-    if isinstance(node, Plus):
-        return Plus(next(it), next(it))
-    if isinstance(node, (Sup, Inf)):
-        return type(node)(node.bindings, next(it))
-    if isinstance(node, Pred):
-        return Pred(node.name, tuple(children))
-    raise TypeError(f"cannot rebuild node {type(node).__name__}")
 
 
 def substitute(node, mapping: Mapping[str, Term]):
@@ -466,34 +523,9 @@ def _expand_predicates(node, registry: PredicateRegistry, depth: int = 0):
 
 def _structure_bytes(node) -> bytes:
     parts: list[bytes] = [type(node).__name__.encode()]
-    if isinstance(node, Var):
-        parts.append(node.name.encode())
-    elif isinstance(node, Const):
-        parts.append(np.ascontiguousarray(node.value).tobytes())
-        parts.append(repr(node.value.shape).encode())
-    elif isinstance(node, Unit):
-        parts.append(np.complex128(node.coeff).tobytes())
-    elif isinstance(node, Scale):
-        parts.append(np.complex128(node.coeff).tobytes())
-    elif isinstance(node, Amp):
-        parts.append(str(node.copies).encode())
-    elif isinstance(node, (SpanDist, PsdDist)):
-        parts.append(node.structure.encode())
-    elif isinstance(node, Times):
-        parts.append(np.float64(node.coeff).tobytes())
-    elif isinstance(node, Lit):
-        parts.append(np.float64(node.value).tobytes())
-    elif isinstance(node, (Sup, Inf)):
-        for name, ball in node.bindings:
-            parts.append(name.encode())
-            parts.append(type(ball).__name__.encode())
-            parts.append(ball.structure.encode())
-            if isinstance(ball, Ball):
-                parts.append(np.float64(ball.radius).tobytes())
-    elif isinstance(node, Pred):
-        parts.append(node.name.encode())
-    for child in _children(node):
-        parts.append(_structure_bytes(child))
+    for name, codec in _fields_of(node):
+        parts.extend(codec.seed(getattr(node, name)))
+    parts.extend(_structure_bytes(child) for child in _children(node))
     return b"(" + b"|".join(parts) + b")"
 
 
@@ -679,10 +711,6 @@ class _Evaluator:
         # amplified balls carry their own larger full algebras
         dims = {s.ambient_dim for s in self.structures.values()}
         self.ambient = min(dims) if dims else 1
-        if "A" in self.structures and "B" in self.structures:
-            a, b = self.structures["A"], self.structures["B"]
-            if not b.contains_span_of(a):
-                raise ValueError("span(A) must be contained in span(B)")
         self._check_structures_used(self.sentence)
         self._check_products(self.sentence, {})
 
@@ -1105,140 +1133,45 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
 # JSON sentence format: tagged nested arrays
 # ---------------------------------------------------------------------------
 
-def _cplx_to_json(c: complex):
-    return [float(c.real), float(c.imag)]
+def _to_json(node, kind: type) -> list:
+    if not isinstance(node, kind):
+        raise TypeError(f"cannot serialize {type(node).__name__} as a {kind.__name__.lower()}")
+    return [_TAGS[type(node)],
+            *(codec.encode(getattr(node, name)) for name, codec in _fields_of(node))]
 
 
-def _cplx_from_json(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
+def _from_json(obj, kind: type):
+    what = kind.__name__.lower()
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"{what} JSON must be a non-empty array")
+    tag, *values = obj
+    cls = _CLASSES.get(tag) if isinstance(tag, str) else None
+    if cls is None or not issubclass(cls, kind):
+        raise ValueError(f"unknown {what} tag {tag!r}")
+    spec = _FIELDS[cls]
+    if len(values) != len(spec):
+        raise ValueError(f"{tag!r} takes {len(spec)} fields, got {len(values)}")
+    return cls(*[codec.decode(value) for (_, codec), value in zip(spec, values)])
+
+
+def _decode(obj, kind: type):
+    try:
+        return _from_json(obj, kind)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"malformed sentence JSON: {exc}") from exc
 
 
 def term_to_json(t: Term):
-    if isinstance(t, Var):
-        return ["var", t.name]
-    if isinstance(t, Const):
-        return ["const", matrix_to_json(t.value)]
-    if isinstance(t, Unit):
-        return ["unit", _cplx_to_json(t.coeff)]
-    if isinstance(t, Adj):
-        return ["adj", term_to_json(t.arg)]
-    if isinstance(t, Scale):
-        return ["scale", _cplx_to_json(t.coeff), term_to_json(t.arg)]
-    if isinstance(t, Sum):
-        return ["sum", term_to_json(t.left), term_to_json(t.right)]
-    if isinstance(t, Prod):
-        return ["prod", term_to_json(t.left), term_to_json(t.right)]
-    if isinstance(t, Amp):
-        return ["amp", term_to_json(t.arg), t.copies]
-    if isinstance(t, Block):
-        return ["block", [[term_to_json(c) for c in row] for row in t.grid]]
-    raise TypeError(f"cannot serialize term {type(t).__name__}")
-
-
-def _binding_to_json(name, ball):
-    if isinstance(ball, UnitaryBall):
-        return [name, ball.structure, "U"]
-    return [name, ball.structure, float(ball.radius)]
+    return _to_json(t, Term)
 
 
 def sentence_to_json(f: Formula):
-    if isinstance(f, Norm):
-        return ["norm", term_to_json(f.arg)]
-    if isinstance(f, NormSq):
-        return ["norm_sq", term_to_json(f.arg)]
-    if isinstance(f, SpanDist):
-        return ["span_dist", term_to_json(f.arg), f.structure]
-    if isinstance(f, PsdDist):
-        return ["psd_dist", term_to_json(f.arg), f.structure]
-    if isinstance(f, AbsDiff):
-        return ["abs_diff", sentence_to_json(f.left), sentence_to_json(f.right)]
-    if isinstance(f, DotMinus):
-        return ["dotminus", sentence_to_json(f.left), sentence_to_json(f.right)]
-    if isinstance(f, Max):
-        return ["max", sentence_to_json(f.left), sentence_to_json(f.right)]
-    if isinstance(f, Min):
-        return ["min", sentence_to_json(f.left), sentence_to_json(f.right)]
-    if isinstance(f, Plus):
-        return ["plus", sentence_to_json(f.left), sentence_to_json(f.right)]
-    if isinstance(f, Times):
-        return ["times", float(f.coeff), sentence_to_json(f.arg)]
-    if isinstance(f, Lit):
-        return ["lit", float(f.value)]
-    if isinstance(f, Sup):
-        return ["sup", [_binding_to_json(n, b) for n, b in f.bindings],
-                sentence_to_json(f.body)]
-    if isinstance(f, Inf):
-        return ["inf", [_binding_to_json(n, b) for n, b in f.bindings],
-                sentence_to_json(f.body)]
-    if isinstance(f, Pred):
-        return ["pred", f.name, [term_to_json(a) for a in f.args]]
-    raise TypeError(f"cannot serialize formula {type(f).__name__}")
+    return _to_json(f, Formula)
 
 
 def term_from_json(obj) -> Term:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("term JSON must be a non-empty array")
-    tag, *rest = obj
-    if tag == "var":
-        return Var(str(rest[0]))
-    if tag == "const":
-        return Const(matrix_from_json(rest[0]))
-    if tag == "unit":
-        return Unit(_cplx_from_json(rest[0]))
-    if tag == "adj":
-        return Adj(term_from_json(rest[0]))
-    if tag == "scale":
-        return Scale(_cplx_from_json(rest[0]), term_from_json(rest[1]))
-    if tag == "sum":
-        return Sum(term_from_json(rest[0]), term_from_json(rest[1]))
-    if tag == "prod":
-        return Prod(term_from_json(rest[0]), term_from_json(rest[1]))
-    if tag == "amp":
-        return Amp(term_from_json(rest[0]), int(rest[1]))
-    if tag == "block":
-        return Block(tuple(tuple(term_from_json(c) for c in row) for row in rest[0]))
-    raise ValueError(f"unknown term tag {tag!r}")
-
-
-def _binding_from_json(obj):
-    name, structure, spec = obj
-    if spec == "U":
-        return (str(name), UnitaryBall(str(structure)))
-    return (str(name), Ball(str(structure), float(spec)))
+    return _decode(obj, Term)
 
 
 def sentence_from_json(obj) -> Formula:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("sentence JSON must be a non-empty array")
-    tag, *rest = obj
-    if tag == "norm":
-        return Norm(term_from_json(rest[0]))
-    if tag == "norm_sq":
-        return NormSq(term_from_json(rest[0]))
-    if tag == "span_dist":
-        return SpanDist(term_from_json(rest[0]), str(rest[1]))
-    if tag == "psd_dist":
-        return PsdDist(term_from_json(rest[0]), str(rest[1]))
-    if tag == "abs_diff":
-        return AbsDiff(sentence_from_json(rest[0]), sentence_from_json(rest[1]))
-    if tag == "dotminus":
-        return DotMinus(sentence_from_json(rest[0]), sentence_from_json(rest[1]))
-    if tag == "max":
-        return Max(sentence_from_json(rest[0]), sentence_from_json(rest[1]))
-    if tag == "min":
-        return Min(sentence_from_json(rest[0]), sentence_from_json(rest[1]))
-    if tag == "plus":
-        return Plus(sentence_from_json(rest[0]), sentence_from_json(rest[1]))
-    if tag == "times":
-        return Times(float(rest[0]), sentence_from_json(rest[1]))
-    if tag == "lit":
-        return Lit(float(rest[0]))
-    if tag == "sup":
-        return Sup(tuple(_binding_from_json(b) for b in rest[0]),
-                   sentence_from_json(rest[1]))
-    if tag == "inf":
-        return Inf(tuple(_binding_from_json(b) for b in rest[0]),
-                   sentence_from_json(rest[1]))
-    if tag == "pred":
-        return Pred(str(rest[0]), tuple(term_from_json(a) for a in rest[1]))
-    raise ValueError(f"unknown formula tag {tag!r}")
+    return _decode(obj, Formula)

@@ -207,7 +207,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix JSON must be an object")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix JSON dimensions must be >= 1")
@@ -217,7 +217,10 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"matrix JSON entry {i} is not an [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            flat[i] = complex(float(pair[0]), float(pair[1]))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed matrix JSON entry {i}: {exc}") from exc
     return as_matrix(flat.reshape(rows, cols))
 
 

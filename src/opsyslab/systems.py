@@ -19,7 +19,6 @@ from .matrices import as_matrix, matrix_from_json, matrix_to_json, op_norm
 
 __all__ = [
     "OperatorSystem",
-    "BallSpec",
     "canonicalize",
     "full_matrix_algebra",
     "diagonal_algebra",
@@ -130,18 +129,6 @@ class OperatorSystem:
         if a.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix, got {a.shape}")
         return a
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Operator-norm ball of a system's span."""
-
-    system: OperatorSystem
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius!r}")
 
 
 def canonicalize(raw_basis, ambient_dim: int) -> OperatorSystem:
@@ -349,13 +336,16 @@ def _draw_ball_coords(rng: np.random.Generator, system: OperatorSystem,
     return out
 
 
-def sample_ball(spec: BallSpec, rng_seed: int, count: int) -> list[np.ndarray]:
-    """Deterministic-in-seed span elements with operator norm <= spec.radius."""
+def sample_ball(system: OperatorSystem, radius: float, rng_seed: int,
+                count: int) -> list[np.ndarray]:
+    """Deterministic-in-seed span elements with operator norm <= radius."""
+    if not radius > 0:
+        raise ValueError(f"ball radius must be positive, got {radius!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    coords = _draw_ball_coords(rng, spec.system, spec.radius, count)
-    return [spec.system.from_coords(row[0::2] + 1j * row[1::2]) for row in coords]
+    coords = _draw_ball_coords(rng, system, radius, count)
+    return [system.from_coords(row[0::2] + 1j * row[1::2]) for row in coords]
 
 
 def system_to_json(system: OperatorSystem) -> dict:
@@ -371,7 +361,7 @@ def system_from_json(obj) -> OperatorSystem:
     try:
         d = int(obj["ambient_dim"])
         raw = [matrix_from_json(m) for m in obj["basis"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator-system JSON: {exc}") from exc
     return canonicalize(raw, d)
 

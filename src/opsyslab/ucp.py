@@ -299,7 +299,7 @@ def ucp_from_json(obj) -> UcpMap:
     try:
         return UcpMap(int(obj["dom_dim"]), int(obj["cod_dim"]),
                       matrix_from_json(obj["choi"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed u.c.p. map JSON: {exc}") from exc
 
 

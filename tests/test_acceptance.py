@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from opsyslab import (
+    UNITARY_PLATEAU,
     EvalConfig,
     UcpMap,
     block,
@@ -36,7 +37,6 @@ from opsyslab import (
     unitary_average_decompose,
     unitary_defect,
     unitary_detect,
-    unitary_plateau_constant,
     unitary_span_defect,
     walter_matrix,
 )
@@ -145,7 +145,7 @@ def test_criterion_6_four_unitary_average():
 
 def test_criterion_7_unitarity_plateau():
     rng = np.random.default_rng(777)
-    c_star = unitary_plateau_constant()
+    c_star = UNITARY_PLATEAU
     unitaries = [haar_unitary(rng, int(rng.integers(1, 3))) for _ in range(20)]
     scores = [unitarity_score(u, n, CONFIG) for u in unitaries for n in (1, 2)]
     spread = max(abs(s - c_star) for s in scores)

@@ -80,6 +80,28 @@ def test_parse_error_exit_2(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, content", [
+    ("eval", ["norm"]),
+    ("eval", ["norm", ["var"]]),
+    ("eval", ["norm", ["block", 5]]),
+    ("eval", ["lit", None]),
+    ("eval", ["sup", [["x", "A", 1.0]], ["lit"]]),
+    ("eval", ["sup", [["x", "A", 1.0]], ["norm", ["lit", 1.0]]]),
+    ("eval", ["lit", 10 ** 400]),
+    ("decompose", {"rows": 1, "cols": 1, "data": [[None, 0]]}),
+    ("decompose", {"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]}),
+    ("check-closure", {"ambient_dim": float("inf"), "basis": []}),
+    ("pisier", {"dom_dim": float("inf"), "cod_dim": 1, "choi": {"rows": 1, "cols": 1,
+                                                               "data": [[1, 0]]}}),
+])
+def test_malformed_input_exit_2(files, capsys, tmp_path, command, content):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(content))
+    extra = {"eval": ["--structure", f"A={files['m2']}"], "check-closure": [files["m2"]]}
+    code, _ = _run(capsys, [command, str(path), *extra.get(command, [])])
+    assert code == 2
+
+
 def test_precondition_error_exit_3(files, capsys):
     # span(M2) is not inside span(diag)
     code, _ = _run(capsys, ["check-closure", files["m2"], files["diag2"]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opsyslab import (
+    UNITARY_PLATEAU,
     EvalConfig,
     block,
     canonicalize,
@@ -24,7 +25,6 @@ from opsyslab import (
     unitary_average_decompose,
     unitary_defect,
     unitary_detect,
-    unitary_plateau_constant,
     unitary_product_gap,
     unitary_span_defect,
     walter_matrix,
@@ -107,7 +107,17 @@ def test_closure_hinted_converse_stays_flat():
 # -- unitarity scores ----------------------------------------------------------
 
 def test_plateau_constant_oracle():
-    assert unitary_plateau_constant() == pytest.approx(1.0, abs=1e-12)
+    # at a unitary u (x) 1_n both concatenations have squared norm 1 + ||x||^2
+    rng = np.random.default_rng(31)
+    for d, n in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        u = np.kron(haar_unitary(rng, d), np.eye(n))
+        for _ in range(5):
+            m = d * n
+            x = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2 * m)
+            row = np.linalg.norm(np.hstack([u, x]), 2) ** 2
+            col = np.linalg.norm(np.vstack([u, x]), 2) ** 2
+            body = min(row, col) - np.linalg.norm(x, 2) ** 2
+            assert body == pytest.approx(UNITARY_PLATEAU, abs=1e-12)
 
 
 def test_score_examples():
@@ -126,7 +136,7 @@ def test_score_constant_at_unitaries():
     values = [unitarity_score(haar_unitary(rng, 2), n, FAST)
               for n in (1, 2) for _ in range(3)]
     assert max(values) - min(values) <= 2 * FAST.opt_tol
-    assert abs(values[0] - unitary_plateau_constant()) <= FAST.opt_tol
+    assert abs(values[0] - UNITARY_PLATEAU) <= FAST.opt_tol
 
 
 def test_detect_examples():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from opsyslab import (
-    BallSpec,
     canonicalize,
     diagonal_algebra,
     dist_to_system,
@@ -111,7 +110,7 @@ def test_product_closure_oracle():
 def test_closed_spans_absorb_products():
     rng = np.random.default_rng(23)
     system = diagonal_algebra(3)
-    xs = sample_ball(BallSpec(system, 1.0), 99, 6)
+    xs = sample_ball(system, 1.0, 99, 6)
     for a in xs:
         for b in xs:
             assert dist_to_system(a @ b, system) <= 1e-6
@@ -124,18 +123,18 @@ def test_unitary_defect():
 
 
 def test_sample_ball_contract():
-    spec = BallSpec(canonicalize([E12], 2), 1.0)
-    xs = sample_ball(spec, 42, 20)
+    system = canonicalize([E12], 2)
+    xs = sample_ball(system, 1.0, 42, 20)
     assert len(xs) == 20
     assert all(op_norm(x) <= 1.0 + 1e-12 for x in xs)
-    ys = sample_ball(spec, 42, 20)
+    ys = sample_ball(system, 1.0, 42, 20)
     assert all(np.array_equal(x, y) for x, y in zip(xs, ys))
-    assert sample_ball(spec, 42, 0) == []
+    assert sample_ball(system, 1.0, 42, 0) == []
 
 
 def test_ball_spec_validation():
     with pytest.raises(ValueError):
-        BallSpec(canonicalize([], 2), 0.0)
+        sample_ball(canonicalize([], 2), 0.0, 42, 1)
 
 
 def test_system_json_round_trip():
