@@ -23,7 +23,7 @@ from .defects import (
     walter_matrix,
 )
 from .logic import EvalConfig, evaluate, sentence_from_json
-from .matrices import dist_to_psd, matrix_from_json, matrix_to_json, op_norm, random_contraction
+from .matrices import lambda_min, matrix_from_json, matrix_to_json, op_norm, random_contraction
 from .systems import is_product_closed, system_from_json, unitary_defect
 from .ucp import (
     clock_shift_unitaries,
@@ -116,13 +116,9 @@ def _cmd_walter(args):
     u = _load(args.u, matrix_from_json)
     v = _load(args.v, matrix_from_json)
     x = _load(args.x, matrix_from_json)
-    w = walter_matrix(u, v, x)
-    dist = dist_to_psd(w)
-    result = {
-        "defect": dist,
-        "dist_to_psd": dist,
-        "lambda_min": float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0]),
-    }
+    lam = lambda_min(walter_matrix(u, v, x))
+    dist = max(0.0, -lam)
+    result = {"defect": dist, "dist_to_psd": dist, "lambda_min": lam}
     return result, [args.u, args.v, args.x]
 
 

@@ -127,12 +127,12 @@ class ClosureReport:
     bound_check: float  # ||x y* + z|| at the reported witnesses
 
 
-def _closure_hints(A: OperatorSystem, B: OperatorSystem, pair_count: int = 4):
+def _closure_hints(A: OperatorSystem):
     """Witness starts for the closure sentence.
 
-    Outer pairs are chosen among unit-norm basis directions by scoring the
-    exact distance of their product to the span; the z and b hints are the
-    analytic constructions (projected back into the quantifier domains).
+    The four outer pairs are the unit-norm basis directions whose product lies
+    farthest from the span; the z and b hints are the analytic constructions
+    (projected back into the quantifier domains).
     """
     cands = []
     for b in A.basis:
@@ -144,7 +144,7 @@ def _closure_hints(A: OperatorSystem, B: OperatorSystem, pair_count: int = 4):
         for j, cj in enumerate(cands):
             scored.append((dist_to_system(ci @ cj.conj().T, A), i, j))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    hints = [{"x": cands[i], "y": cands[j]} for _, i, j in scored[:pair_count]]
+    hints = [{"x": cands[i], "y": cands[j]} for _, i, j in scored[:4]]
 
     def z_hint(env):
         z = -env["x"] @ env["y"].conj().T
@@ -179,7 +179,7 @@ def product_closure_defect(A: OperatorSystem, B: OperatorSystem,
         closure_sentence(),
         {"A": A, "B": B},
         config,
-        hints=_closure_hints(A, B),
+        hints=_closure_hints(A),
         probe=probe,
     )
     x = result.witnesses["x"]

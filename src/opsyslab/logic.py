@@ -16,9 +16,12 @@ fixed EvalConfig.
 
 from __future__ import annotations
 
+import math
 import warnings
 import zlib
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
+from operator import add, itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -356,8 +359,9 @@ def _array(value, length: int | None = None) -> list:
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -478,8 +482,6 @@ def substitute(node, mapping: Mapping[str, Term]):
     """Capture-avoiding substitution of terms for free variables."""
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, (Const, Unit, Lit)):
-        return node
     if isinstance(node, (Sup, Inf)):
         bound = {name for name, _ in node.bindings}
         live = {k: v for k, v in mapping.items() if k not in bound}
@@ -533,13 +535,10 @@ def _structure_seed(node) -> int:
     return zlib.crc32(_structure_bytes(node))
 
 
-def _alternation_depth(node, parent: str | None = None) -> int:
-    if isinstance(node, (Sup, Inf)):
-        kind = "sup" if isinstance(node, Sup) else "inf"
-        step = 0 if kind == parent else 1
-        return step + _alternation_depth(node.body, kind)
-    depths = [_alternation_depth(c, parent) for c in _children(node)]
-    return max(depths, default=0)
+def _iter_subtree(node):
+    yield node
+    for child in _children(node):
+        yield from _iter_subtree(child)
 
 
 def _static_floor(node) -> float:
@@ -657,19 +656,20 @@ class _VarFrame:
         return out
 
 
-class _NodeInfo:
-    __slots__ = ("frames", "offsets", "samples", "budget", "floor", "polish")
+class _Quantifier:
+    """One compiled Sup/Inf: its ball frames, compiled body and search budget."""
 
-    def __init__(self, frames, offsets, samples, budget, floor, polish):
+    def __init__(self, node, frames: list[_VarFrame]):
+        self.node = node
+        self.is_sup = isinstance(node, Sup)
+        self.names = [name for name, _ in node.bindings]
         self.frames = frames
-        self.offsets = offsets
-        self.samples = samples
-        self.budget = budget
-        self.floor = floor
-        self.polish = polish
-
-
-_SCALAR = "scalar"
+        self.offsets = _offsets(f.ncoords for f in frames)
+        self.floor = _static_floor(node.body)
+        self.body: Callable = None  # fn(env, capture=None), set once the body is compiled
+        self.leaf = True            # no quantifier inside the body
+        self.samples: np.ndarray = None
+        self.budget = self.polish = 0
 
 
 def _spec_norm(a: np.ndarray) -> float:
@@ -677,7 +677,44 @@ def _spec_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _offsets(sizes) -> list[int]:
+    return list(accumulate(sizes, initial=0))
+
+
+def _constant(value):
+    return lambda env: value
+
+
+def _identity(c: complex, shape) -> np.ndarray:
+    """c.1 in a slot of the given shape; a non-square slot only takes c = 0."""
+    if shape[0] != shape[1]:
+        if c != 0:
+            raise ValueError("identity multiple used in a non-square slot")
+        out = np.zeros(shape, dtype=complex)
+    else:
+        out = c * np.eye(shape[0], dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+_CONNECTIVES = {
+    AbsDiff: lambda a, b: abs(a - b),
+    DotMinus: lambda a, b: max(0.0, a - b),
+    Max: max,
+    Min: min,
+    Plus: add,
+}
+
+
 class _Evaluator:
+    """Compiles a sentence once into closures, then runs its quantifier searches.
+
+    A term compiles to fn(env) with a static shape, a formula to
+    fn(env, capture=None) -> float; env maps bound variable names to
+    matrices.  Every shape, structure and product-closure error is raised while
+    compiling, before the first body evaluation.
+    """
+
     def __init__(self, sentence: Formula, structures: Mapping[str, OperatorSystem],
                  config: EvalConfig, hints, probe, registry: PredicateRegistry):
         self.config = config
@@ -685,336 +722,270 @@ class _Evaluator:
         self.hints = list(hints or ())
         self.probe = probe
         self.sentence = _expand_predicates(sentence, registry)
-        self._eye_cache: dict[tuple[complex, int], np.ndarray] = {}
+        # bare identity multiples materialize at the smallest ambient dimension;
+        # amplified balls carry their own larger full algebras
+        self.ambient = min((s.ambient_dim for s in self.structures.values()), default=1)
+        self.quantifiers: list[_Quantifier] = []
+        self.root = self._formula(self.sentence, {})
         self._root_best: np.ndarray | None = None
-        self._validate()
-        self._setup_nodes()
         self.converged = True
-
-    # -- static checks ------------------------------------------------------
+        single_block = len(self.quantifiers) == 1
+        for q in self.quantifiers:
+            # nested quantifiers get drastically smaller search budgets: the
+            # analytic hints carry the accuracy, the samples the exploration
+            if single_block:
+                nstarts, q.budget, q.polish = config.multistart, config.max_iter, 2
+            elif q.leaf:
+                nstarts = max(4, config.multistart // 4)
+                q.budget, q.polish = max(24, config.max_iter // 80), 1
+            else:
+                nstarts = max(6, config.multistart // 2)
+                q.budget, q.polish = max(32, config.max_iter // 50), 1
+            rng = np.random.default_rng([config.rng_seed & 0xFFFFFFFF, _structure_seed(q.node)])
+            q.samples = np.hstack([f.sample(rng, nstarts) for f in q.frames])
 
     def _system(self, name: str) -> OperatorSystem:
         if name not in self.structures:
             raise ValueError(f"unresolved structure slot {name!r}")
         return self.structures[name]
 
-    def _validate(self):
-        free = free_variables(self.sentence)
-        if free:
-            raise ValueError(f"sentence is not closed; free variables {sorted(free)}")
-        depth = _alternation_depth(self.sentence)
+    # -- compiling terms ------------------------------------------------------
+
+    def _term(self, t: Term, scope) -> tuple:
+        """Compile a term into (shape, fn(env)).
+
+        A term built from identity multiples alone compiles to (None, c): the
+        coefficient of c.1, sized by the context that uses it.
+        """
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise ValueError(f"sentence is not closed; free variable {t.name!r}")
+            d = self._system(scope[t.name].structure).ambient_dim
+            return (d, d), itemgetter(t.name)
+        if isinstance(t, Const):
+            return t.value.shape, _constant(t.value)
+        if isinstance(t, Unit):
+            return None, complex(t.coeff)
+        if isinstance(t, (Adj, Scale, Amp)):
+            shape, fn = self._term(t.arg, scope)
+            if isinstance(t, Adj):
+                if shape is None:
+                    return None, fn.conjugate()
+                return shape[::-1], lambda env: fn(env).conj().T
+            if isinstance(t, Scale):
+                coeff = complex(t.coeff)
+                if shape is None:
+                    return None, coeff * fn
+                return shape, lambda env: coeff * fn(env)
+            if shape is None:
+                return None, fn
+            n = t.copies
+            return (shape[0] * n, shape[1] * n), lambda env: _amplify(fn(env), n)
+        if isinstance(t, Sum):
+            return self._sum(t, scope)
+        if isinstance(t, Prod):
+            return self._prod(t, scope)
+        if isinstance(t, Block):
+            return self._block(t, scope)
+        raise TypeError(f"unknown term node {type(t).__name__}")
+
+    def _sum(self, t: Sum, scope):
+        (ls, lf), (rs, rf) = self._term(t.left, scope), self._term(t.right, scope)
+        if ls is None and rs is None:
+            return None, lf + rf
+        if ls is None:
+            eye = _identity(lf, rs)
+            return rs, lambda env: eye + rf(env)
+        if rs is None:
+            eye = _identity(rf, ls)
+            return ls, lambda env: lf(env) + eye
+        if ls != rs:
+            raise ValueError(f"sum of incompatible shapes {ls} and {rs}")
+        return ls, lambda env: lf(env) + rf(env)
+
+    def _prod(self, t: Prod, scope):
+        (ls, lf), (rs, rf) = self._term(t.left, scope), self._term(t.right, scope)
+        for name in free_variables(t.left) | free_variables(t.right):
+            structure = scope[name].structure
+            if not self._system(structure).is_cstar:
+                raise ValueError(f"product term over variable {name!r} requires structure "
+                                 f"{structure!r} to be product-closed")
+        if ls is None and rs is None:
+            return None, lf * rf
+        if ls is None:
+            return rs, lambda env: lf * rf(env)
+        if rs is None:
+            return ls, lambda env: lf(env) * rf
+        if ls[1] != rs[0]:
+            raise ValueError(f"product of incompatible shapes {ls} and {rs}")
+        return (ls[0], rs[1]), lambda env: lf(env) @ rf(env)
+
+    def _block(self, t: Block, scope):
+        """Compile a block into a constant template plus slots for its matrix cells."""
+        cells = [[self._term(cell, scope) for cell in row] for row in t.grid]
+        heights = [self._side({s[0] for s, _ in row if s is not None},
+                              f"grid row {i} mixes row-counts")
+                   for i, row in enumerate(cells)]
+        widths = [self._side({row[j][0][1] for row in cells if row[j][0] is not None},
+                             f"grid column {j} mixes column-counts")
+                  for j in range(len(cells[0]))]
+        tops, lefts = _offsets(heights), _offsets(widths)
+        template = np.zeros((tops[-1], lefts[-1]), dtype=complex)
+        slots = []
+        for i, row in enumerate(cells):
+            for j, (shape, fn) in enumerate(row):
+                if shape is not None:
+                    slots.append((slice(tops[i], tops[i + 1]), slice(lefts[j], lefts[j + 1]), fn))
+                elif fn != 0:
+                    if heights[i] != widths[j]:
+                        raise ValueError("identity multiple used in a non-square slot")
+                    idx = np.arange(heights[i])
+                    template[tops[i] + idx, lefts[j] + idx] = fn
+        template.setflags(write=False)
+
+        def value(env):
+            out = template.copy()
+            for rows, cols, fn in slots:
+                out[rows, cols] = fn(env)
+            return out
+
+        return template.shape, value
+
+    def _side(self, sizes: set, message: str) -> int:
+        if len(sizes) > 1:
+            raise ValueError(message)
+        return sizes.pop() if sizes else self.ambient
+
+    # -- compiling formulas ---------------------------------------------------
+
+    def _formula(self, f: Formula, scope, kind: type | None = None, depth: int = 0):
+        """Compile a formula into fn(env, capture=None) -> float.
+
+        kind and depth are those of the innermost enclosing quantifier, for the
+        alternation cap.
+        """
+        if isinstance(f, (Sup, Inf)):
+            return self._quantifier(f, scope, kind, depth)
+        if type(f) in _CONNECTIVES:
+            op = _CONNECTIVES[type(f)]
+            left = self._formula(f.left, scope, kind, depth)
+            right = self._formula(f.right, scope, kind, depth)
+            return lambda env, capture=None: op(left(env, capture), right(env, capture))
+        if isinstance(f, Times):
+            coeff, arg = f.coeff, self._formula(f.arg, scope, kind, depth)
+            return lambda env, capture=None: coeff * arg(env, capture)
+        if isinstance(f, Lit):
+            value = float(f.value)
+            return lambda env, capture=None: value
+        if not isinstance(f, (Norm, NormSq, SpanDist, PsdDist)):
+            raise TypeError(f"unknown formula node {type(f).__name__}")
+        shape, arg = self._term(f.arg, scope)
+        if shape is None:
+            shape = (self.ambient, self.ambient)
+            arg = _constant(_identity(arg, shape))
+        if isinstance(f, Norm):
+            return lambda env, capture=None: _spec_norm(arg(env))
+        if isinstance(f, NormSq):
+            def norm_sq(env, capture=None):
+                v = _spec_norm(arg(env))
+                return v * v
+            return norm_sq
+        system = self._system(f.structure)
+        if isinstance(f, SpanDist):
+            return lambda env, capture=None: dist_to_system(arg(env), system)
+        return self._psd_dist(shape, arg, system)
+
+    @staticmethod
+    def _psd_dist(shape, arg, system: OperatorSystem):
+        d = system.ambient_dim
+        if shape[0] != shape[1] or shape[0] % d != 0:
+            raise ValueError(f"PSD-cone distance needs a square matrix of block dimension {d}")
+        cuts = [slice(i, i + d) for i in range(0, shape[0], d)]
+
+        def value(env, capture=None):
+            w = arg(env)
+            for rows in cuts:
+                for cols in cuts:
+                    if system.membership_residual(w[rows, cols]) > 1e-6:
+                        raise ValueError("PSD-cone distance evaluated outside M_k(structure)")
+            if op_norm(w - w.conj().T) > DEFAULT_TOL.eig_tol:
+                raise ValueError("PSD-cone distance needs a Hermitian value")
+            return max(0.0, -lambda_min(hermitian_part(w)))
+
+        return value
+
+    def _quantifier(self, f, scope, kind, depth):
+        depth += type(f) is not kind
         if depth > _MAX_ALTERNATION:
             raise NestingDepthError(
                 f"alternation depth {depth} exceeds the supported cap {_MAX_ALTERNATION}"
             )
-        # bare identity multiples materialize at the smallest ambient dimension;
-        # amplified balls carry their own larger full algebras
-        dims = {s.ambient_dim for s in self.structures.values()}
-        self.ambient = min(dims) if dims else 1
-        self._check_structures_used(self.sentence)
-        self._check_products(self.sentence, {})
-
-    def _check_structures_used(self, node):
-        if isinstance(node, (SpanDist, PsdDist)):
-            self._system(node.structure)
-        if isinstance(node, (Sup, Inf)):
-            for _, ball in node.bindings:
-                system = self._system(ball.structure)
-                if isinstance(ball, UnitaryBall):
-                    if not system.is_cstar():
-                        raise ValueError(
-                            f"unitary quantification over {ball.structure!r} needs a "
-                            "product-closed structure"
-                        )
-        for child in _children(node):
-            self._check_structures_used(child)
-
-    def _check_products(self, node, scope):
-        if isinstance(node, (Sup, Inf)):
-            inner = dict(scope)
-            for name, ball in node.bindings:
-                inner[name] = ball
-            self._check_products(node.body, inner)
-            return
-        if isinstance(node, Prod):
-            for name in free_variables(node.left) | free_variables(node.right):
-                ball = scope.get(name)
-                if ball is None:
-                    continue
-                system = self._system(ball.structure)
-                if not system.is_cstar():
-                    raise ValueError(
-                        f"product term over variable {name!r} requires structure "
-                        f"{ball.structure!r} to be product-closed"
-                    )
-        for child in _children(node):
-            self._check_products(child, scope)
-
-    # -- per-node setup -----------------------------------------------------
-
-    def _setup_nodes(self):
-        quant_nodes: list = []
-
-        def walk(node):
-            if isinstance(node, (Sup, Inf)):
-                quant_nodes.append(node)
-            for child in _children(node):
-                walk(child)
-
-        walk(self.sentence)
-        single_block = len(quant_nodes) == 1
-        self._info: dict[int, _NodeInfo] = {}
-        for node in quant_nodes:
-            frames = []
-            offsets = [0]
-            for _, ball in node.bindings:
-                frame = _VarFrame(ball, self._system(ball.structure))
-                frames.append(frame)
-                offsets.append(offsets[-1] + frame.ncoords)
-            leaf = not any(isinstance(c, (Sup, Inf)) for c in _iter_subtree(node.body))
-            # nested quantifiers get drastically smaller search budgets: the
-            # analytic hints carry the accuracy, the samples the exploration
-            if single_block:
-                nstarts, budget, polish = self.config.multistart, self.config.max_iter, 2
-            elif leaf:
-                nstarts = max(4, self.config.multistart // 4)
-                budget = max(24, self.config.max_iter // 80)
-                polish = 1
-            else:
-                nstarts = max(6, self.config.multistart // 2)
-                budget = max(32, self.config.max_iter // 50)
-                polish = 1
-            rng = np.random.default_rng(
-                [self.config.rng_seed & 0xFFFFFFFF, _structure_seed(node)]
-            )
-            per_var = [f.sample(rng, nstarts) for f in frames]
-            samples = np.hstack(per_var) if per_var else np.empty((nstarts, 0))
-            floor = _static_floor(node.body)
-            self._info[id(node)] = _NodeInfo(frames, offsets, samples, budget, floor, polish)
-
-    # -- term evaluation ----------------------------------------------------
-
-    def _term_value(self, t: Term, env):
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise ValueError(f"unbound variable {t.name!r}")
-            return env[t.name]
-        if isinstance(t, Const):
-            return t.value
-        if isinstance(t, Unit):
-            return (_SCALAR, complex(t.coeff))
-        if isinstance(t, Adj):
-            v = self._term_value(t.arg, env)
-            if _is_scalar(v):
-                return (_SCALAR, v[1].conjugate())
-            return v.conj().T
-        if isinstance(t, Scale):
-            v = self._term_value(t.arg, env)
-            if _is_scalar(v):
-                return (_SCALAR, complex(t.coeff) * v[1])
-            return complex(t.coeff) * v
-        if isinstance(t, Sum):
-            lv = self._term_value(t.left, env)
-            rv = self._term_value(t.right, env)
-            if _is_scalar(lv) and _is_scalar(rv):
-                return (_SCALAR, lv[1] + rv[1])
-            if _is_scalar(lv):
-                return self._materialize(lv, rv.shape) + rv
-            if _is_scalar(rv):
-                return lv + self._materialize(rv, lv.shape)
-            if lv.shape != rv.shape:
-                raise ValueError(f"sum of incompatible shapes {lv.shape} and {rv.shape}")
-            return lv + rv
-        if isinstance(t, Prod):
-            lv = self._term_value(t.left, env)
-            rv = self._term_value(t.right, env)
-            if _is_scalar(lv) and _is_scalar(rv):
-                return (_SCALAR, lv[1] * rv[1])
-            if _is_scalar(lv):
-                return lv[1] * rv
-            if _is_scalar(rv):
-                return lv * rv[1]
-            if lv.shape[1] != rv.shape[0]:
-                raise ValueError(f"product of incompatible shapes {lv.shape} and {rv.shape}")
-            return lv @ rv
-        if isinstance(t, Amp):
-            v = self._term_value(t.arg, env)
-            if _is_scalar(v):
-                return v
-            return _amplify(v, t.copies)
-        if isinstance(t, Block):
-            return self._block_value(t, env)
-        raise TypeError(f"unknown term node {type(t).__name__}")
-
-    def _materialize(self, scalar, shape):
-        if shape[0] != shape[1]:
-            if scalar[1] == 0:
-                return np.zeros(shape, dtype=complex)
-            raise ValueError("identity multiple used in a non-square slot")
-        key = (scalar[1], shape[0])
-        cached = self._eye_cache.get(key)
-        if cached is None:
-            cached = scalar[1] * np.eye(shape[0], dtype=complex)
-            cached.setflags(write=False)
-            self._eye_cache[key] = cached
-        return cached
-
-    def _block_value(self, t: Block, env):
-        nrows = len(t.grid)
-        ncols = len(t.grid[0])
-        vals = [[self._term_value(cell, env) for cell in row] for row in t.grid]
-        heights = [None] * nrows
-        widths = [None] * ncols
-        for i in range(nrows):
-            for j in range(ncols):
-                v = vals[i][j]
-                if not _is_scalar(v):
-                    if heights[i] is None:
-                        heights[i] = v.shape[0]
-                    elif heights[i] != v.shape[0]:
-                        raise ValueError(f"grid row {i} mixes row-counts")
-                    if widths[j] is None:
-                        widths[j] = v.shape[1]
-                    elif widths[j] != v.shape[1]:
-                        raise ValueError(f"grid column {j} mixes column-counts")
-        for i in range(nrows):
-            if heights[i] is None:
-                heights[i] = self.ambient
-        for j in range(ncols):
-            if widths[j] is None:
-                widths[j] = self.ambient
-        out = np.zeros((sum(heights), sum(widths)), dtype=complex)
-        r0 = 0
-        for i in range(nrows):
-            c0 = 0
-            for j in range(ncols):
-                v = vals[i][j]
-                h, w = heights[i], widths[j]
-                if _is_scalar(v):
-                    if v[1] != 0:
-                        if h != w:
-                            raise ValueError("identity multiple used in a non-square slot")
-                        idx = np.arange(h)
-                        out[r0 + idx, c0 + idx] = v[1]
-                else:
-                    out[r0:r0 + h, c0:c0 + w] = v
-                c0 += w
-            r0 += h
-        return out
-
-    def _term_matrix(self, t: Term, env) -> np.ndarray:
-        v = self._term_value(t, env)
-        if _is_scalar(v):
-            return v[1] * np.eye(self.ambient, dtype=complex)
-        return v
-
-    # -- formula evaluation -------------------------------------------------
-
-    def _value(self, f: Formula, env, capture=None) -> float:
-        if isinstance(f, Norm):
-            return _spec_norm(self._term_matrix(f.arg, env))
-        if isinstance(f, NormSq):
-            v = _spec_norm(self._term_matrix(f.arg, env))
-            return v * v
-        if isinstance(f, SpanDist):
-            return dist_to_system(self._term_matrix(f.arg, env), self._system(f.structure))
-        if isinstance(f, PsdDist):
-            return self._psd_dist(f, env)
-        if isinstance(f, AbsDiff):
-            return abs(self._value(f.left, env, capture) - self._value(f.right, env, capture))
-        if isinstance(f, DotMinus):
-            return max(0.0, self._value(f.left, env, capture) - self._value(f.right, env, capture))
-        if isinstance(f, Max):
-            return max(self._value(f.left, env, capture), self._value(f.right, env, capture))
-        if isinstance(f, Min):
-            return min(self._value(f.left, env, capture), self._value(f.right, env, capture))
-        if isinstance(f, Plus):
-            return self._value(f.left, env, capture) + self._value(f.right, env, capture)
-        if isinstance(f, Times):
-            return f.coeff * self._value(f.arg, env, capture)
-        if isinstance(f, Lit):
-            return float(f.value)
-        if isinstance(f, (Sup, Inf)):
-            return self._quant(f, env, capture)
-        raise TypeError(f"unknown formula node {type(f).__name__}")
-
-    def _psd_dist(self, f: PsdDist, env) -> float:
-        w = self._term_matrix(f.arg, env)
-        system = self._system(f.structure)
-        d = system.ambient_dim
-        if w.shape[0] != w.shape[1] or w.shape[0] % d != 0:
-            raise ValueError(
-                f"PSD-cone distance needs a square matrix of block dimension {d}"
-            )
-        k = w.shape[0] // d
-        for i in range(k):
-            for j in range(k):
-                blk = w[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                if system.membership_residual(blk) > 1e-6:
-                    raise ValueError(
-                        "PSD-cone distance evaluated outside M_k(structure)"
-                    )
-        if op_norm(w - w.conj().T) > DEFAULT_TOL.eig_tol:
-            raise ValueError("PSD-cone distance needs a Hermitian value")
-        return max(0.0, -lambda_min(hermitian_part(w)))
+        frames = []
+        for _, ball in f.bindings:
+            system = self._system(ball.structure)
+            if isinstance(ball, UnitaryBall) and not system.is_cstar:
+                raise ValueError(f"unitary quantification over {ball.structure!r} needs a "
+                                 "product-closed structure")
+            frames.append(_VarFrame(ball, system))
+        q = _Quantifier(f, frames)
+        self.quantifiers.append(q)
+        q.body = self._formula(f.body, {**scope, **dict(f.bindings)}, type(f), depth)
+        q.leaf = q is self.quantifiers[-1]
+        return lambda env, capture=None: self._quant(q, env, capture)
 
     # -- quantifier optimization --------------------------------------------
 
-    def _starts_for(self, node, info: _NodeInfo, env):
+    def _starts_for(self, q: _Quantifier, env):
         # hints first: for an inf they can trigger the floor early-stop before
         # any sampled start is even evaluated
-        names = [name for name, _ in node.bindings]
-        total = info.offsets[-1]
+        total = q.offsets[-1]
         starts = []
         for entry in self.hints:
-            if not any(name in entry for name in names):
+            if not any(name in entry for name in q.names):
                 continue
             coords = np.zeros(total)
             usable = True
-            for idx, name in enumerate(names):
+            for idx, name in enumerate(q.names):
                 if name not in entry:
                     continue
                 value = entry[name]
                 if callable(value):
                     value = value(dict(env))
                 try:
-                    coords[info.offsets[idx]:info.offsets[idx + 1]] = \
-                        info.frames[idx].coords_of(value)
+                    coords[q.offsets[idx]:q.offsets[idx + 1]] = q.frames[idx].coords_of(value)
                 except (ValueError, np.linalg.LinAlgError):
                     usable = False
                     break
             if usable:
                 starts.append(coords)
         starts.append(np.zeros(total))
-        starts.extend(info.samples)
+        starts.extend(q.samples)
         return starts
 
-    def _bind(self, node, info: _NodeInfo, coords, env):
+    def _bind(self, q: _Quantifier, coords, env):
         out = dict(env)
-        for idx, (name, _) in enumerate(node.bindings):
-            frame = info.frames[idx]
-            out[name] = frame.to_matrix(coords[info.offsets[idx]:info.offsets[idx + 1]])
+        for idx, name in enumerate(q.names):
+            out[name] = q.frames[idx].to_matrix(coords[q.offsets[idx]:q.offsets[idx + 1]])
         return out
 
-    def _quant(self, node, env, capture=None) -> float:
-        info = self._info[id(node)]
-        is_sup = isinstance(node, Sup)
+    def _quant(self, q: _Quantifier, env, capture=None) -> float:
+        is_sup = q.is_sup
         sign = -1.0 if is_sup else 1.0
-        floor = info.floor
+        floor = q.floor
 
-        if capture is not None and node is self.sentence and self._root_best is not None:
+        if capture is not None and q.node is self.sentence and self._root_best is not None:
             # the main pass already optimized the root; just re-descend its optimum
-            bound = self._bind(node, info, self._root_best, env)
-            for name, _ in node.bindings:
+            bound = self._bind(q, self._root_best, env)
+            for name in q.names:
                 capture[name] = bound[name]
-            return self._value(node.body, bound, capture)
+            return q.body(bound, capture)
 
         best = {"coords": None, "value": -np.inf if is_sup else np.inf, "sig_at": 0}
         evals = {"n": 0}
 
         def raw(coords):
             evals["n"] += 1
-            value = self._value(node.body, self._bind(node, info, coords, env))
+            value = q.body(self._bind(q, coords, env))
             improved = value > best["value"] if is_sup else value < best["value"]
             if improved:
                 if abs(value - best["value"]) > 0.1 * self.config.opt_tol:
@@ -1022,7 +993,7 @@ class _Evaluator:
                 best["value"], best["coords"] = value, np.array(coords)
             return value
 
-        starts = self._starts_for(node, info, env)
+        starts = self._starts_for(q, env)
         start_values = []
         for c in starts:
             start_values.append(raw(c))
@@ -1034,8 +1005,8 @@ class _Evaluator:
                 range(len(start_values)),
                 key=lambda i: (-start_values[i], i) if is_sup else (start_values[i], i),
             )
-            budget = info.budget
-            for idx in order[:info.polish]:
+            budget = q.budget
+            for idx in order[:q.polish]:
                 stop_at = evals["n"] + budget
 
                 def objective(coords):
@@ -1061,55 +1032,27 @@ class _Evaluator:
                         self.converged = False
 
         value = best["value"]
-        if node is self.sentence:
+        if q.node is self.sentence:
             self._root_best = best["coords"]
         if capture is not None:
-            bound = self._bind(node, info, best["coords"], env)
-            for name, _ in node.bindings:
+            bound = self._bind(q, best["coords"], env)
+            for name in q.names:
                 capture[name] = bound[name]
-            self._value(node.body, bound, capture)
+            q.body(bound, capture)
         elif self.probe is not None:
-            self.probe(node, dict(env), value)
+            self.probe(q.node, dict(env), value)
         return value
 
     def run(self) -> EvalResult:
         witnesses: dict[str, np.ndarray] = {}
-        value = self._value(self.sentence, {}, capture=None)
-        if _has_quantifier(self.sentence):
+        value = self.root({})
+        if self.quantifiers:
             # a second, deterministic pass down the winning path records witnesses
-            self._value(self.sentence, {}, capture=witnesses)
-        return EvalResult(
-            value=value,
-            witnesses=witnesses,
-            converged=self.converged,
-            bound_kind=_bound_kind(self.sentence),
-        )
-
-
-def _is_scalar(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and v[0] == _SCALAR
-
-
-def _iter_subtree(node):
-    yield node
-    for child in _children(node):
-        yield from _iter_subtree(child)
-
-
-def _has_quantifier(node) -> bool:
-    return any(isinstance(n, (Sup, Inf)) for n in _iter_subtree(node))
-
-
-def _bound_kind(sentence) -> str:
-    kinds = {("sup" if isinstance(n, Sup) else "inf")
-             for n in _iter_subtree(sentence) if isinstance(n, (Sup, Inf))}
-    if not kinds:
-        return "exact"
-    if kinds == {"sup"}:
-        return "lower-estimate"
-    if kinds == {"inf"}:
-        return "upper-estimate"
-    return "heuristic"
+            self.root({}, witnesses)
+        kinds = {q.is_sup for q in self.quantifiers}
+        bound_kind = ("exact" if not kinds else "heuristic" if len(kinds) == 2
+                      else "lower-estimate" if True in kinds else "upper-estimate")
+        return EvalResult(value, witnesses, self.converged, bound_kind)
 
 
 def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],

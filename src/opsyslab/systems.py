@@ -101,16 +101,14 @@ class OperatorSystem:
                 out.append(v / nrm)
         return tuple(m.copy() for m in out)
 
-    def is_cstar(self, tol: float = 1e-9) -> bool:
+    @cached_property
+    def is_cstar(self) -> bool:
         """True when the span is closed under products (cached exact oracle)."""
-        cache = self.__dict__.setdefault("_cstar_cache", {})
-        if tol not in cache:
-            cache[tol] = is_product_closed(self, tol)[0]
-        return cache[tol]
+        return is_product_closed(self)[0]
 
-    def require_cstar(self, tol: float = 1e-9) -> None:
-        if not self.is_cstar(tol):
-            raise ValueError("structure is not product-closed at the requested tolerance")
+    def require_cstar(self) -> None:
+        if not self.is_cstar:
+            raise ValueError("structure is not product-closed")
 
     def validate(self, tol: float = 1e-7) -> None:
         d = self.ambient_dim

@@ -93,6 +93,10 @@ def test_parse_error_exit_2(files, capsys):
     ("check-closure", {"ambient_dim": float("inf"), "basis": []}),
     ("pisier", {"dom_dim": float("inf"), "cod_dim": 1, "choi": {"rows": 1, "cols": 1,
                                                                "data": [[1, 0]]}}),
+    ("eval", ["lit", float("nan")]),
+    ("eval", ["times", float("nan"), ["lit", 1.0]]),
+    ("eval", ["sup", [["x", "A", 1.0]], ["lit", float("nan")]]),
+    ("eval", ["sup", [["x", "A", float("inf")]], ["norm", ["var", "x"]]]),
 ])
 def test_malformed_input_exit_2(files, capsys, tmp_path, command, content):
     path = tmp_path / "malformed.json"

@@ -185,6 +185,27 @@ def test_dimension_mismatch_rejected():
         evaluate(f, {}, FAST)
 
 
+@pytest.mark.parametrize("body", [
+    Norm(Block(((Amp(Var("x"), 2), Var("x")),))),  # a row that mixes heights
+    Norm(Sum(Var("x"), Const(np.eye(3)))),
+    Norm(Prod(Var("x"), Const(np.eye(3)))),
+    Norm(Block(((Var("x"), Unit(1)), (Unit(0), Const(np.ones((1, 1))))))),  # 1 in a 2x1 slot
+    PsdDist(Block(((Var("x"), Unit(0)), (Unit(0), Const(np.ones((1, 1)))))), "A"),  # 3x3 in M_2
+], ids=["block-row", "sum", "prod", "unit-slot", "psd-size"])
+def test_shape_errors_precede_search(body):
+    # the hint callable runs with the first start, so no call means no body evaluation
+    calls = []
+
+    def hint(env):
+        calls.append(env)
+        return np.eye(2)
+
+    with pytest.raises(ValueError):
+        evaluate(Sup((("x", Ball("A", 1.0)),), body), {"A": full_matrix_algebra(2)},
+                 FAST, hints=[{"x": hint}])
+    assert calls == []
+
+
 def test_product_gating():
     open_system = canonicalize([E12], 2)  # not product-closed
     f = Sup((("x", Ball("A", 1.0)),), Norm(Prod(Var("x"), Var("x"))))
@@ -299,6 +320,31 @@ def test_sentence_golden(build, seeds, text):
     sentence = build()
     assert json.dumps(sentence_to_json(sentence)) == text
     assert _quantifier_seeds(sentence) == seeds
+
+
+def _every_node_evaluable():
+    term = Block(((Var("x"), Scale(0.5 - 1j, Sum(Var("y"), Unit(2j)))),
+                  (Adj(Prod(Var("x"), Const(np.array([[1, 2j], [0, -1]])))), Unit())))
+    body = Max(
+        Min(Norm(term), NormSq(Amp(Var("z"), 2))),
+        Plus(Times(0.5, AbsDiff(PsdDist(Sum(Var("x"), Adj(Var("x"))), "B"), NormSq(Var("y")))),
+             DotMinus(Pred("P", (Var("x"), Var("z"))), Lit(-0.25))),
+    )
+    quantified = Sup((("x", Ball("A", 2.0)), ("y", UnitaryBall("B"))),
+                     Inf((("z", Ball("B")),), body))
+    return Plus(quantified, SpanDist(Const(np.array([[0, 1], [1, 0]])), "A"))
+
+
+def test_every_node_evaluation_golden():
+    # one sentence reaching every term and formula node; the root is not a
+    # quantifier, so the witness pass searches the outer Sup again
+    reg = PredicateRegistry()
+    reg.register("P", ("u", "v"), Norm(Sum(Var("u"), Scale(-1.0, Var("v")))))
+    r = evaluate(_every_node_evaluable(), {"A": diagonal_algebra(2), "B": full_matrix_algebra(2)},
+                 EvalConfig(4, 100, rng_seed=7), registry=reg)
+    assert r.value == 3.03832714594475
+    assert sorted(r.witnesses) == ["x", "y", "z"]
+    assert r.converged and r.bound_kind == "heuristic"
 
 
 def test_alternating_witnesses_reproduce_value():
