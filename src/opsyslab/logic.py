@@ -16,7 +16,8 @@ fixed EvalConfig.
 
 from __future__ import annotations
 
-import math
+import cmath
+import numbers
 import warnings
 import zlib
 from dataclasses import dataclass, field, fields
@@ -39,14 +40,14 @@ from .matrices import (
     op_norm,
     unitary_log,
 )
-from .systems import OperatorSystem, _draw_ball_coords, dist_to_system
+from .systems import OperatorSystem, _combine, _draw_ball_coords, dist_to_system
 
 __all__ = [
     "Term", "Var", "Const", "Unit", "Adj", "Scale", "Sum", "Block", "Amp", "Prod",
     "Formula", "Norm", "NormSq", "SpanDist", "PsdDist", "AbsDiff", "DotMinus",
     "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf", "Pred",
     "Ball", "UnitaryBall",
-    "EvalConfig", "EvalResult", "evaluate",
+    "EvalConfig", "EvalResult", "SearchStats", "evaluate",
     "PredicateRegistry", "register_predicate", "DEFAULT_REGISTRY",
     "free_variables", "substitute", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
@@ -70,6 +71,14 @@ class Term:
 
 class Formula:
     pass
+
+
+def _finite(value):
+    """value, checked to be a finite real or complex number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number) \
+            or not cmath.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def _as_term(x) -> Term:
@@ -101,6 +110,9 @@ class Unit(Term):
 
     coeff: complex = 1.0
 
+    def __post_init__(self):
+        _finite(self.coeff)
+
 
 @dataclass(frozen=True, eq=False)
 class Adj(Term):
@@ -111,6 +123,9 @@ class Adj(Term):
 class Scale(Term):
     coeff: complex
     arg: Term
+
+    def __post_init__(self):
+        _finite(self.coeff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +171,7 @@ class Ball:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
+        if not _finite(self.radius) > 0:
             raise ValueError("ball radius must be positive")
 
 
@@ -234,13 +249,16 @@ class Times(Formula):
     arg: Formula
 
     def __post_init__(self):
-        if self.coeff < 0:
+        if _finite(self.coeff) < 0:
             raise ValueError("formula scaling must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Lit(Formula):
     value: float
+
+    def __post_init__(self):
+        _finite(self.value)
 
 
 def _norm_bindings(bindings):
@@ -359,10 +377,7 @@ def _array(value, length: int | None = None) -> list:
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+    return float(_finite(value))
 
 
 def _integer(value) -> int:
@@ -581,11 +596,31 @@ class EvalConfig:
 
 
 @dataclass
+class SearchStats:
+    """Deterministic counters of one quantifier, summed over its searches.
+
+    evaluations counts scored points as the search budgets count them; repeats
+    are the points a search had already scored, answered without evaluating
+    the body again.  polish_runs counts local searches, early_stops the
+    searches of an inf that reached its static floor, budget_exhausted the
+    local searches cut by their budget.  The witness pass is included.
+    """
+
+    searches: int = 0
+    evaluations: int = 0
+    repeats: int = 0
+    polish_runs: int = 0
+    early_stops: int = 0
+    budget_exhausted: int = 0
+
+
+@dataclass
 class EvalResult:
     value: float
     witnesses: dict[str, np.ndarray] = field(default_factory=dict)
     converged: bool = True
     bound_kind: str = "heuristic"
+    stats: list[SearchStats] = field(default_factory=list)  # per quantifier, outermost first
 
 
 class _EarlyStop(Exception):
@@ -618,12 +653,12 @@ class _VarFrame:
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
         if self.kind == "span":
             c = coords[0::2] + 1j * coords[1::2]
-            a = np.tensordot(c, self._stack, axes=(0, 0))
+            a = _combine(c, self._stack)
             nrm = _spec_norm(a)
             if nrm > self.radius:
                 a *= self.radius / nrm
             return a
-        h = np.tensordot(coords, self._hstack, axes=(0, 0))
+        h = _combine(coords, self._hstack)
         nrm = _spec_norm(h)
         if nrm > self.radius:
             h *= self.radius / nrm
@@ -647,7 +682,7 @@ class _VarFrame:
         out = np.empty((count, k))
         for i in range(count):
             c = rng.standard_normal(k)
-            h = np.tensordot(c, self._hstack, axes=(0, 0))
+            h = _combine(c, self._hstack)
             nrm = _spec_norm(h)
             target = rng.uniform(0.0, np.pi)
             if nrm > 0:
@@ -670,11 +705,13 @@ class _Quantifier:
         self.leaf = True            # no quantifier inside the body
         self.samples: np.ndarray = None
         self.budget = self.polish = 0
+        self.stats = SearchStats()
 
 
 def _spec_norm(a: np.ndarray) -> float:
-    # validation-free operator norm for evaluator-internal values
-    return float(np.linalg.norm(a, 2))
+    # the LAPACK call np.linalg.norm(a, 2) makes, without its wrapper; bitwise
+    # equal to it for the evaluator's internal 2-D values
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _offsets(sizes) -> list[int]:
@@ -980,12 +1017,22 @@ class _Evaluator:
                 capture[name] = bound[name]
             return q.body(bound, capture)
 
+        stats = q.stats
+        stats.searches += 1
         best = {"coords": None, "value": -np.inf if is_sup else np.inf, "sig_at": 0}
         evals = {"n": 0}
+        # env is fixed for this search, so a point's value depends on its exact
+        # coordinates alone; Powell re-scores its start and line-search points
+        seen: dict[bytes, float] = {}
 
         def raw(coords):
             evals["n"] += 1
-            value = q.body(self._bind(q, coords, env))
+            key = coords.tobytes()
+            value = seen.get(key)
+            if value is None:
+                value = seen[key] = q.body(self._bind(q, coords, env))
+            else:
+                stats.repeats += 1
             improved = value > best["value"] if is_sup else value < best["value"]
             if improved:
                 if abs(value - best["value"]) > 0.1 * self.config.opt_tol:
@@ -1008,6 +1055,7 @@ class _Evaluator:
             budget = q.budget
             for idx in order[:q.polish]:
                 stop_at = evals["n"] + budget
+                stats.polish_runs += 1
 
                 def objective(coords):
                     if evals["n"] >= stop_at:
@@ -1025,12 +1073,16 @@ class _Evaluator:
                             options={"maxfev": budget, "xtol": 1e-5, "ftol": 1e-8},
                         )
                 except _EarlyStop:
+                    early = True
                     break
                 except _BudgetExhausted:
+                    stats.budget_exhausted += 1
                     # only flag non-convergence when the cap bit mid-improvement
                     if stop_at - best["sig_at"] < budget // 4:
                         self.converged = False
 
+        stats.evaluations += evals["n"]
+        stats.early_stops += bool(early)
         value = best["value"]
         if q.node is self.sentence:
             self._root_best = best["coords"]
@@ -1052,7 +1104,8 @@ class _Evaluator:
         kinds = {q.is_sup for q in self.quantifiers}
         bound_kind = ("exact" if not kinds else "heuristic" if len(kinds) == 2
                       else "lower-estimate" if True in kinds else "upper-estimate")
-        return EvalResult(value, witnesses, self.converged, bound_kind)
+        return EvalResult(value, witnesses, self.converged, bound_kind,
+                          [q.stats for q in self.quantifiers])
 
 
 def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
@@ -1065,6 +1118,12 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
     hints: optional list of partial witness assignments {var: matrix-or-callable};
     callables receive the environment of already-bound outer variables.  Hinted
     points are always among the optimizer starts.
+
+    probe: optional callable probe(node, env, value), called with the result of
+    every quantifier search except those that record witnesses.  Each search
+    remembers the points it has scored, so a nested quantifier is searched,
+    and probed, once per distinct point of its enclosing search, not once per
+    request for that point.
     """
     config = config or EvalConfig()
     ev = _Evaluator(sentence, structures, config, hints, probe,

@@ -39,6 +39,16 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1)
 
 
+def _combine(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i c[i] * stack[i] for a 1-D c, as one (1 x k) by (k x d*d) product.
+
+    This is the product numpy's tensordot over axis 0 makes, so the result is
+    bitwise equal to it, without its axis bookkeeping.  (A 1-D c @ matrix is
+    not: for k = 1 and complex c it differs in the last bits.)
+    """
+    return np.dot(c[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorSystem:
     """Unital *-closed subspace of M_d, with an HS-orthonormal basis."""
@@ -68,7 +78,7 @@ class OperatorSystem:
         c = np.asarray(c, dtype=complex)
         if c.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got shape {c.shape}")
-        return np.tensordot(c, self._stack, axes=(0, 0))
+        return _combine(c, self._stack)
 
     def project(self, x) -> np.ndarray:
         return self.from_coords(self.coords(x))

@@ -85,6 +85,9 @@ def test_closure_defect_open_structure():
     r = product_closure_defect(canonicalize([E12], 2), full_matrix_algebra(2), FAST)
     assert r.defect >= 1 / 64 - FAST.opt_tol
     assert r.bound_check <= 4 * np.sqrt(r.defect) + FAST.opt_tol
+    # the search trajectory is pinned bit for bit
+    assert r.defect == 0.06523350739674161
+    assert r.bound_check == 0.5326024998594803
 
 
 def test_closure_requires_containment():

@@ -48,7 +48,8 @@ from opsyslab import (
     substitute,
 )
 from opsyslab.defects import unitarity_score_formula
-from opsyslab.logic import _iter_subtree, _structure_seed
+from opsyslab.logic import _iter_subtree, _spec_norm, _structure_seed
+from opsyslab.systems import _combine
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -82,6 +83,21 @@ def test_determinism():
     r2 = evaluate(f, {"A": full_matrix_algebra(2)}, FAST)
     assert r1.value == r2.value
     assert np.array_equal(r1.witnesses["x"], r2.witnesses["x"])
+
+
+def test_search_stats():
+    # outermost first; the inner Inf is searched once per distinct outer point,
+    # plus once more by the witness pass
+    f = Sup((("x", Ball("A", 2.0)),),
+            Inf((("z", Ball("A", 1.0)),), Norm(Sum(Var("x"), Scale(-1.0, Var("z"))))))
+    config = EvalConfig(multistart=4, max_iter=100, rng_seed=3)
+    r1 = evaluate(f, {"A": diagonal_algebra(2)}, config)
+    r2 = evaluate(f, {"A": diagonal_algebra(2)}, config)
+    assert r1.stats == r2.stats
+    outer, inner = r1.stats
+    assert outer.searches == 1
+    assert inner.searches == outer.evaluations - outer.repeats + 1
+    assert outer.repeats > 0 and inner.repeats > 0
 
 
 def test_witnesses_reproduce_value():
@@ -204,6 +220,41 @@ def test_shape_errors_precede_search(body):
         evaluate(Sup((("x", Ball("A", 1.0)),), body), {"A": full_matrix_algebra(2)},
                  FAST, hints=[{"x": hint}])
     assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Lit(float("nan")),
+    lambda: Lit(float("-inf")),
+    lambda: Times(float("nan"), Lit(1.0)),
+    lambda: Ball("A", float("inf")),
+    lambda: Unit(complex(float("nan"), 0.0)),
+    lambda: Scale(complex(0.0, float("inf")), Var("x")),
+], ids=["lit-nan", "lit-inf", "times", "ball", "unit", "scale"])
+def test_non_finite_numbers_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 8), (4, 8), (8, 8), (12, 12)])
+def test_spec_norm_is_bitwise_norm2(shape):
+    rng = np.random.default_rng(shape)
+    for _ in range(50):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for m in (a, a.real.copy()):
+            assert _spec_norm(m) == float(np.linalg.norm(m, 2))
+
+
+def test_span_map_is_bitwise_tensordot():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 4, 6):
+        for k in range(1, min(16, d * d) + 1):
+            stack = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+            for _ in range(10):
+                c = rng.standard_normal(k)
+                for coeffs in (c, c + 1j * rng.standard_normal(k)):
+                    out = _combine(coeffs, stack)
+                    ref = np.tensordot(coeffs, stack, axes=(0, 0))
+                    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 def test_product_gating():
@@ -356,6 +407,8 @@ def test_alternating_witnesses_reproduce_value():
     w = r.witnesses
     replayed = closure_gap(w["x"], w["y"], w["z"], w["b"])
     assert replayed == pytest.approx(r.value, abs=FAST.opt_tol)
+    # Powell re-scores the start of every local search of the leaf sup_b
+    assert r.stats[-1].repeats > 0
 
 
 def test_hints_are_used():
