@@ -207,25 +207,24 @@ for every x.
 """
 
 
-def _unitarity_sentence(amped, ball_structure: str, x_var: str = "x") -> Formula:
+def _unitarity_sentence(amped, ball_structure: str) -> Formula:
     body = DotMinus(
         Min(
-            NormSq(Block(((amped, Var(x_var)),))),
-            NormSq(Block(((amped,), (Var(x_var),)))),
+            NormSq(Block(((amped, Var("x")),))),
+            NormSq(Block(((amped,), (Var("x"),)))),
         ),
-        NormSq(Var(x_var)),
+        NormSq(Var("x")),
     )
-    return Inf(((x_var, Ball(ball_structure, 1.0)),), body)
+    return Inf((("x", Ball(ball_structure, 1.0)),), body)
 
 
-def unitarity_score_formula(u_var: str, n: int, ball_structure: str,
-                            x_var: str = "x") -> Formula:
+def unitarity_score_formula(u_var: str, n: int, ball_structure: str) -> Formula:
     """inf_{||x|| <= 1} (min(||[u(x)1_n, x]||^2, ||[u(x)1_n; x]||^2) - ||x||^2).
 
-    The inner variable ranges over the radius-1 ball of the named structure,
+    The inner variable x ranges over the radius-1 ball of the named structure,
     which must be the full algebra at the amplified dimension.
     """
-    return _unitarity_sentence(Amp(Var(u_var), n), ball_structure, x_var)
+    return _unitarity_sentence(Amp(Var(u_var), n), ball_structure)
 
 
 def unitarity_score(u, n: int = 1, config: EvalConfig | None = None) -> float:

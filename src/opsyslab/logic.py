@@ -29,15 +29,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .matrices import (
-    DEFAULT_TOL,
     amplify as _amplify,
     as_matrix,
+    dist_to_psd,
     exp_i_hermitian,
-    hermitian_part,
-    lambda_min,
     matrix_from_json,
     matrix_to_json,
-    op_norm,
     unitary_log,
 )
 from .systems import OperatorSystem, _combine, _draw_ball_coords, dist_to_system
@@ -603,7 +600,7 @@ class SearchStats:
     are the points a search had already scored, answered without evaluating
     the body again.  polish_runs counts local searches, early_stops the
     searches of an inf that reached its static floor, budget_exhausted the
-    local searches cut by their budget.  The witness pass is included.
+    local searches cut by their budget.
     """
 
     searches: int = 0
@@ -692,7 +689,11 @@ class _VarFrame:
 
 
 class _Quantifier:
-    """One compiled Sup/Inf: its ball frames, compiled body and search budget."""
+    """One compiled Sup/Inf: its ball frames, compiled body and search budget.
+
+    found holds the witnesses of its latest search's best point: its own
+    variables, then those its inner quantifiers found there.
+    """
 
     def __init__(self, node, frames: list[_VarFrame]):
         self.node = node
@@ -701,8 +702,9 @@ class _Quantifier:
         self.frames = frames
         self.offsets = _offsets(f.ncoords for f in frames)
         self.floor = _static_floor(node.body)
-        self.body: Callable = None  # fn(env, capture=None), set once the body is compiled
-        self.leaf = True            # no quantifier inside the body
+        self.body: Callable = None  # fn(env), set once the body is compiled
+        self.inner: list[_Quantifier] = []  # the quantifiers directly inside the body
+        self.found: dict[str, np.ndarray] = {}
         self.samples: np.ndarray = None
         self.budget = self.polish = 0
         self.stats = SearchStats()
@@ -747,9 +749,9 @@ class _Evaluator:
     """Compiles a sentence once into closures, then runs its quantifier searches.
 
     A term compiles to fn(env) with a static shape, a formula to
-    fn(env, capture=None) -> float; env maps bound variable names to
-    matrices.  Every shape, structure and product-closure error is raised while
-    compiling, before the first body evaluation.
+    fn(env) -> float; env maps bound variable names to matrices.  Every
+    shape, structure and product-closure error is raised while compiling,
+    before the first body evaluation.
     """
 
     def __init__(self, sentence: Formula, structures: Mapping[str, OperatorSystem],
@@ -763,8 +765,8 @@ class _Evaluator:
         # amplified balls carry their own larger full algebras
         self.ambient = min((s.ambient_dim for s in self.structures.values()), default=1)
         self.quantifiers: list[_Quantifier] = []
+        self.top: list[_Quantifier] = []  # the quantifiers outside every other one
         self.root = self._formula(self.sentence, {})
-        self._root_best: np.ndarray | None = None
         self.converged = True
         single_block = len(self.quantifiers) == 1
         for q in self.quantifiers:
@@ -772,7 +774,7 @@ class _Evaluator:
             # analytic hints carry the accuracy, the samples the exploration
             if single_block:
                 nstarts, q.budget, q.polish = config.multistart, config.max_iter, 2
-            elif q.leaf:
+            elif not q.inner:
                 nstarts = max(4, config.multistart // 4)
                 q.budget, q.polish = max(24, config.max_iter // 80), 1
             else:
@@ -895,25 +897,24 @@ class _Evaluator:
 
     # -- compiling formulas ---------------------------------------------------
 
-    def _formula(self, f: Formula, scope, kind: type | None = None, depth: int = 0):
-        """Compile a formula into fn(env, capture=None) -> float.
+    def _formula(self, f: Formula, scope, outer: _Quantifier | None = None, depth: int = 0):
+        """Compile a formula into fn(env) -> float.
 
-        kind and depth are those of the innermost enclosing quantifier, for the
-        alternation cap.
+        outer is the innermost enclosing quantifier and depth its alternation
+        depth, for the alternation cap.
         """
         if isinstance(f, (Sup, Inf)):
-            return self._quantifier(f, scope, kind, depth)
+            return self._quantifier(f, scope, outer, depth)
         if type(f) in _CONNECTIVES:
             op = _CONNECTIVES[type(f)]
-            left = self._formula(f.left, scope, kind, depth)
-            right = self._formula(f.right, scope, kind, depth)
-            return lambda env, capture=None: op(left(env, capture), right(env, capture))
+            left = self._formula(f.left, scope, outer, depth)
+            right = self._formula(f.right, scope, outer, depth)
+            return lambda env: op(left(env), right(env))
         if isinstance(f, Times):
-            coeff, arg = f.coeff, self._formula(f.arg, scope, kind, depth)
-            return lambda env, capture=None: coeff * arg(env, capture)
+            coeff, arg = f.coeff, self._formula(f.arg, scope, outer, depth)
+            return lambda env: coeff * arg(env)
         if isinstance(f, Lit):
-            value = float(f.value)
-            return lambda env, capture=None: value
+            return _constant(float(f.value))
         if not isinstance(f, (Norm, NormSq, SpanDist, PsdDist)):
             raise TypeError(f"unknown formula node {type(f).__name__}")
         shape, arg = self._term(f.arg, scope)
@@ -921,15 +922,15 @@ class _Evaluator:
             shape = (self.ambient, self.ambient)
             arg = _constant(_identity(arg, shape))
         if isinstance(f, Norm):
-            return lambda env, capture=None: _spec_norm(arg(env))
+            return lambda env: _spec_norm(arg(env))
         if isinstance(f, NormSq):
-            def norm_sq(env, capture=None):
+            def norm_sq(env):
                 v = _spec_norm(arg(env))
                 return v * v
             return norm_sq
         system = self._system(f.structure)
         if isinstance(f, SpanDist):
-            return lambda env, capture=None: dist_to_system(arg(env), system)
+            return lambda env: dist_to_system(arg(env), system)
         return self._psd_dist(shape, arg, system)
 
     @staticmethod
@@ -939,20 +940,18 @@ class _Evaluator:
             raise ValueError(f"PSD-cone distance needs a square matrix of block dimension {d}")
         cuts = [slice(i, i + d) for i in range(0, shape[0], d)]
 
-        def value(env, capture=None):
+        def value(env):
             w = arg(env)
             for rows in cuts:
                 for cols in cuts:
                     if system.membership_residual(w[rows, cols]) > 1e-6:
                         raise ValueError("PSD-cone distance evaluated outside M_k(structure)")
-            if op_norm(w - w.conj().T) > DEFAULT_TOL.eig_tol:
-                raise ValueError("PSD-cone distance needs a Hermitian value")
-            return max(0.0, -lambda_min(hermitian_part(w)))
+            return dist_to_psd(w)
 
         return value
 
-    def _quantifier(self, f, scope, kind, depth):
-        depth += type(f) is not kind
+    def _quantifier(self, f, scope, outer: _Quantifier | None, depth):
+        depth += outer is None or type(f) is not type(outer.node)
         if depth > _MAX_ALTERNATION:
             raise NestingDepthError(
                 f"alternation depth {depth} exceeds the supported cap {_MAX_ALTERNATION}"
@@ -966,9 +965,9 @@ class _Evaluator:
             frames.append(_VarFrame(ball, system))
         q = _Quantifier(f, frames)
         self.quantifiers.append(q)
-        q.body = self._formula(f.body, {**scope, **dict(f.bindings)}, type(f), depth)
-        q.leaf = q is self.quantifiers[-1]
-        return lambda env, capture=None: self._quant(q, env, capture)
+        (outer.inner if outer else self.top).append(q)
+        q.body = self._formula(f.body, {**scope, **dict(f.bindings)}, q, depth)
+        return lambda env: self._quant(q, env)
 
     # -- quantifier optimization --------------------------------------------
 
@@ -1005,21 +1004,13 @@ class _Evaluator:
             out[name] = q.frames[idx].to_matrix(coords[q.offsets[idx]:q.offsets[idx + 1]])
         return out
 
-    def _quant(self, q: _Quantifier, env, capture=None) -> float:
+    def _quant(self, q: _Quantifier, env) -> float:
         is_sup = q.is_sup
         sign = -1.0 if is_sup else 1.0
         floor = q.floor
-
-        if capture is not None and q.node is self.sentence and self._root_best is not None:
-            # the main pass already optimized the root; just re-descend its optimum
-            bound = self._bind(q, self._root_best, env)
-            for name in q.names:
-                capture[name] = bound[name]
-            return q.body(bound, capture)
-
         stats = q.stats
         stats.searches += 1
-        best = {"coords": None, "value": -np.inf if is_sup else np.inf, "sig_at": 0}
+        best = {"value": -np.inf if is_sup else np.inf, "found": {}, "sig_at": 0}
         evals = {"n": 0}
         # env is fixed for this search, so a point's value depends on its exact
         # coordinates alone; Powell re-scores its start and line-search points
@@ -1029,15 +1020,21 @@ class _Evaluator:
             evals["n"] += 1
             key = coords.tobytes()
             value = seen.get(key)
-            if value is None:
-                value = seen[key] = q.body(self._bind(q, coords, env))
-            else:
+            if value is not None:
+                # a repeat never strictly improves, so it needs no witnesses
                 stats.repeats += 1
+                return value
+            bound = self._bind(q, coords, env)
+            value = seen[key] = q.body(bound)
             improved = value > best["value"] if is_sup else value < best["value"]
             if improved:
                 if abs(value - best["value"]) > 0.1 * self.config.opt_tol:
                     best["sig_at"] = evals["n"]
-                best["value"], best["coords"] = value, np.array(coords)
+                # the inner searches just ran at this point
+                found = {name: bound[name] for name in q.names}
+                for inner in q.inner:
+                    found.update(inner.found)
+                best["value"], best["found"] = value, found
             return value
 
         starts = self._starts_for(q, env)
@@ -1083,24 +1080,16 @@ class _Evaluator:
 
         stats.evaluations += evals["n"]
         stats.early_stops += bool(early)
-        value = best["value"]
-        if q.node is self.sentence:
-            self._root_best = best["coords"]
-        if capture is not None:
-            bound = self._bind(q, best["coords"], env)
-            for name in q.names:
-                capture[name] = bound[name]
-            q.body(bound, capture)
-        elif self.probe is not None:
-            self.probe(q.node, dict(env), value)
-        return value
+        q.found = best["found"]
+        if self.probe is not None:
+            self.probe(q.node, dict(env), best["value"])
+        return best["value"]
 
     def run(self) -> EvalResult:
-        witnesses: dict[str, np.ndarray] = {}
         value = self.root({})
-        if self.quantifiers:
-            # a second, deterministic pass down the winning path records witnesses
-            self.root({}, witnesses)
+        witnesses: dict[str, np.ndarray] = {}
+        for q in self.top:
+            witnesses.update(q.found)
         kinds = {q.is_sup for q in self.quantifiers}
         bound_kind = ("exact" if not kinds else "heuristic" if len(kinds) == 2
                       else "lower-estimate" if True in kinds else "upper-estimate")
@@ -1120,10 +1109,13 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
     points are always among the optimizer starts.
 
     probe: optional callable probe(node, env, value), called with the result of
-    every quantifier search except those that record witnesses.  Each search
-    remembers the points it has scored, so a nested quantifier is searched,
-    and probed, once per distinct point of its enclosing search, not once per
-    request for that point.
+    every quantifier search.  Each search remembers the points it has scored,
+    so a nested quantifier is searched, and probed, once per distinct point of
+    its enclosing search, not once per request for that point.
+
+    The witnesses are those of each search's best point: the outermost
+    search's variables, then those of the searches nested in it, run at that
+    point; an inner variable that shadows an outer one wins.
     """
     config = config or EvalConfig()
     ev = _Evaluator(sentence, structures, config, hints, probe,
@@ -1163,16 +1155,8 @@ def _decode(obj, kind: type):
         raise ValueError(f"malformed sentence JSON: {exc}") from exc
 
 
-def term_to_json(t: Term):
-    return _to_json(t, Term)
-
-
 def sentence_to_json(f: Formula):
     return _to_json(f, Formula)
-
-
-def term_from_json(obj) -> Term:
-    return _decode(obj, Term)
 
 
 def sentence_from_json(obj) -> Formula:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "EIG_TOL",
     "NotPsdError",
     "as_matrix",
     "adjoint",
@@ -34,25 +32,12 @@ __all__ = [
 ]
 
 
+EIG_TOL = 1e-10
+"""Absolute eigenvalue tolerance: the Hermitian and PSD checks allow this much error."""
+
+
 class NotPsdError(ValueError):
-    """A matrix required to be PSD has an eigenvalue below -eig_tol."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute eigenvalue tolerance and relative norm tolerance."""
-
-    eig_tol: float = 1e-10
-    norm_rtol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("eig_tol", "norm_rtol"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2], got {value!r}")
-
-
-DEFAULT_TOL = Tolerance()
+    """A matrix required to be PSD has an eigenvalue below -EIG_TOL."""
 
 
 def as_matrix(m) -> np.ndarray:
@@ -85,39 +70,37 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def is_hermitian(m, tol: Tolerance | None = None) -> bool:
+def is_hermitian(m) -> bool:
     a = as_matrix(m)
-    tol = tol or DEFAULT_TOL
-    return a.shape[0] == a.shape[1] and op_norm(a - a.conj().T) <= tol.eig_tol
+    return a.shape[0] == a.shape[1] and op_norm(a - a.conj().T) <= EIG_TOL
 
 
-def _require_hermitian(m, tol: Tolerance) -> np.ndarray:
+def _require_hermitian(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
-    if op_norm(a - a.conj().T) > tol.eig_tol:
-        raise ValueError("matrix is not Hermitian within eig_tol")
+    if op_norm(a - a.conj().T) > EIG_TOL:
+        raise ValueError("matrix is not Hermitian within EIG_TOL")
     return (a + a.conj().T) / 2
 
 
-def lambda_min(h, tol: Tolerance | None = None) -> float:
+def lambda_min(h) -> float:
     """Smallest eigenvalue of the Hermitian part of an (almost) Hermitian matrix."""
-    a = _require_hermitian(h, tol or DEFAULT_TOL)
+    a = _require_hermitian(h)
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def dist_to_psd(h, tol: Tolerance | None = None) -> float:
+def dist_to_psd(h) -> float:
     """Operator-norm distance from a Hermitian matrix to the PSD cone: max(0, -lambda_min)."""
-    return max(0.0, -lambda_min(h, tol))
+    return max(0.0, -lambda_min(h))
 
 
-def psd_sqrt(h, tol: Tolerance | None = None) -> np.ndarray:
-    """PSD square root; eigenvalues in [-eig_tol, 0) are clamped to 0."""
-    tol = tol or DEFAULT_TOL
-    a = _require_hermitian(h, tol)
+def psd_sqrt(h) -> np.ndarray:
+    """PSD square root; eigenvalues in [-EIG_TOL, 0) are clamped to 0."""
+    a = _require_hermitian(h)
     w, v = np.linalg.eigh(a)
-    if w[0] < -tol.eig_tol:
-        raise NotPsdError(f"smallest eigenvalue {w[0]:.3e} is below -eig_tol")
+    if w[0] < -EIG_TOL:
+        raise NotPsdError(f"smallest eigenvalue {w[0]:.3e} is below -EIG_TOL")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 

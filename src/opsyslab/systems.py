@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _INDEPENDENCE_RTOL = 1e-8
+_GAP_TOL = 2e-10  # duality gap at which the span-distance barrier method stops
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -88,10 +89,10 @@ class OperatorSystem:
         a = self._check_ambient(x)
         return float(np.linalg.norm(a - self.project(a)))
 
-    def contains_span_of(self, other: "OperatorSystem", tol: float = 1e-8) -> bool:
+    def contains_span_of(self, other: "OperatorSystem") -> bool:
         if other.ambient_dim != self.ambient_dim:
             return False
-        return all(self.membership_residual(b) <= tol for b in other.basis)
+        return all(self.membership_residual(b) <= 1e-8 for b in other.basis)
 
     @cached_property
     def hermitian_basis(self) -> tuple[np.ndarray, ...]:
@@ -120,12 +121,12 @@ class OperatorSystem:
         if not self.is_cstar:
             raise ValueError("structure is not product-closed")
 
-    def validate(self, tol: float = 1e-7) -> None:
+    def validate(self) -> None:
         d = self.ambient_dim
-        if self.membership_residual(np.eye(d)) > tol * np.sqrt(d):
+        if self.membership_residual(np.eye(d)) > 1e-7 * np.sqrt(d):
             raise ValueError("identity is not in the span")
         for b in self.basis:
-            if self.membership_residual(b.conj().T) > tol:
+            if self.membership_residual(b.conj().T) > 1e-7:
                 raise ValueError("span is not closed under adjoints")
         gram = self._frame.conj().T @ self._frame
         if np.linalg.norm(gram - np.eye(self.dim)) > 1e-10 * self.dim:
@@ -219,11 +220,11 @@ def _logdet(g: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(ell).real)))
 
 
-def _min_affine_spectral(m0: np.ndarray, dirs: list[np.ndarray], gap_tol: float = 1e-9):
+def _min_affine_spectral(m0: np.ndarray, dirs: list[np.ndarray]):
     """Minimize ||m0 + sum_j theta_j dirs_j||_2 over real theta.
 
     Barrier method on { (theta, t) : t*I - dilation(M(theta)) > 0 }; the
-    returned value is feasible and within gap_tol of the optimum.
+    returned value is feasible and within _GAP_TOL of the optimum.
     """
     r, c = m0.shape
     n = r + c
@@ -293,30 +294,33 @@ def _min_affine_spectral(m0: np.ndarray, dirs: list[np.ndarray], gap_tol: float 
                 alpha /= 2
             else:
                 break
-        if n / tau <= gap_tol:
+        if n / tau <= _GAP_TOL:
             break
         tau *= mu
     return float(x[m]), x[:m]
 
 
-def dist_to_system(x, system: OperatorSystem, gap_tol: float = 2e-10) -> float:
-    """Operator-norm distance from x to span(system), certified to gap_tol."""
+def dist_to_system(x, system: OperatorSystem) -> float:
+    """Operator-norm distance from x to span(system), certified to a duality gap of 2e-10."""
     a = system._check_ambient(x)
     dirs: list[np.ndarray] = []
     for b in system.basis:
         dirs.append(b)
         dirs.append(1j * b)
-    value, _ = _min_affine_spectral(a, dirs, gap_tol=gap_tol)
+    value, _ = _min_affine_spectral(a, dirs)
     return max(0.0, value)
 
 
-def is_product_closed(system: OperatorSystem, tol: float = 1e-9) -> tuple[bool, float]:
-    """Exact product-closure oracle: max distance of basis products b_i b_j* to the span."""
+def is_product_closed(system: OperatorSystem) -> tuple[bool, float]:
+    """Exact product-closure oracle: max distance of basis products b_i b_j* to the span.
+
+    The span counts as closed when that distance is at most 1e-9.
+    """
     defect = 0.0
     for bi in system.basis:
         for bj in system.basis:
             defect = max(defect, dist_to_system(bi @ bj.conj().T, system))
-    return defect <= tol, defect
+    return defect <= 1e-9, defect
 
 
 def unitary_defect(u) -> float:

@@ -41,6 +41,8 @@ __all__ = [
     "load_ucp",
 ]
 
+_UCP_TOL = 1e-6  # largest cp_defect and unital_defect a u.c.p. map may have
+
 
 @dataclass(frozen=True, eq=False)
 class UcpMap:
@@ -78,13 +80,13 @@ class UcpMap:
         total = np.einsum("iaib->ab", self._blocks)
         return op_norm(total - np.eye(self.cod_dim))
 
-    def is_ucp(self, tol: float = 1e-6) -> bool:
-        return self.cp_defect <= tol and self.unital_defect <= tol
+    def is_ucp(self) -> bool:
+        return self.cp_defect <= _UCP_TOL and self.unital_defect <= _UCP_TOL
 
-    def require_ucp(self, tol: float = 1e-6) -> None:
-        if not self.is_ucp(tol):
+    def require_ucp(self) -> None:
+        if not self.is_ucp():
             raise ValueError(
-                f"map is not u.c.p. within {tol:g} "
+                f"map is not u.c.p. within {_UCP_TOL:g} "
                 f"(cp_defect={self.cp_defect:.3e}, unital_defect={self.unital_defect:.3e})"
             )
 

@@ -86,8 +86,7 @@ def test_determinism():
 
 
 def test_search_stats():
-    # outermost first; the inner Inf is searched once per distinct outer point,
-    # plus once more by the witness pass
+    # outermost first; the inner Inf is searched once per distinct outer point
     f = Sup((("x", Ball("A", 2.0)),),
             Inf((("z", Ball("A", 1.0)),), Norm(Sum(Var("x"), Scale(-1.0, Var("z"))))))
     config = EvalConfig(multistart=4, max_iter=100, rng_seed=3)
@@ -96,8 +95,25 @@ def test_search_stats():
     assert r1.stats == r2.stats
     outer, inner = r1.stats
     assert outer.searches == 1
-    assert inner.searches == outer.evaluations - outer.repeats + 1
+    assert inner.searches == outer.evaluations - outer.repeats
     assert outer.repeats > 0 and inner.repeats > 0
+
+
+def test_non_quantifier_root_searches_once():
+    # witnesses come from the searches that find them: no search runs twice,
+    # and the probe reports every search
+    f = Plus(Sup((("x", Ball("A", 2.0)),),
+                 Inf((("z", Ball("A", 1.0)),), Norm(Sum(Var("x"), Scale(-1.0, Var("z")))))),
+             SpanDist(Const(np.array([[0, 1], [1, 0]])), "A"))
+    calls = []
+    r = evaluate(f, {"A": diagonal_algebra(2)}, EvalConfig(multistart=4, max_iter=100, rng_seed=3),
+                 probe=lambda node, env, value: calls.append(type(node)))
+    outer, inner = r.stats
+    assert outer.searches == 1
+    assert inner.searches == outer.evaluations - outer.repeats
+    assert len(calls) == sum(s.searches for s in r.stats)
+    assert calls.count(Sup) == 1 and calls[-1] is Sup
+    assert sorted(r.witnesses) == ["x", "z"]
 
 
 def test_witnesses_reproduce_value():
@@ -220,6 +236,13 @@ def test_shape_errors_precede_search(body):
         evaluate(Sup((("x", Ball("A", 1.0)),), body), {"A": full_matrix_algebra(2)},
                  FAST, hints=[{"x": hint}])
     assert calls == []
+
+
+def test_psd_dist_rejects_non_hermitian_value():
+    skew = Const(np.array([[0, 1], [0, 0]]))
+    f = Sup((("x", Ball("A", 1.0)),), PsdDist(Sum(Var("x"), skew), "A"))
+    with pytest.raises(ValueError, match="Hermitian"):
+        evaluate(f, {"A": full_matrix_algebra(2)}, FAST)
 
 
 @pytest.mark.parametrize("build", [
@@ -388,7 +411,7 @@ def _every_node_evaluable():
 
 def test_every_node_evaluation_golden():
     # one sentence reaching every term and formula node; the root is not a
-    # quantifier, so the witness pass searches the outer Sup again
+    # quantifier, so the witnesses come from the outer Sup under the root Plus
     reg = PredicateRegistry()
     reg.register("P", ("u", "v"), Norm(Sum(Var("u"), Scale(-1.0, Var("v")))))
     r = evaluate(_every_node_evaluable(), {"A": diagonal_algebra(2), "B": full_matrix_algebra(2)},

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from opsyslab import (
-    DEFAULT_TOL,
     NotPsdError,
-    Tolerance,
     amplify,
     block,
     dist_to_psd,
@@ -20,6 +18,7 @@ from opsyslab import (
     psd_sqrt,
     random_contraction,
 )
+from opsyslab.matrices import EIG_TOL
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -82,7 +81,7 @@ def test_dist_to_psd_zero_iff_lambda_min_nonneg():
     for _ in range(40):
         h = rng.standard_normal((3, 3))
         h = (h + h.T) / 2
-        assert (dist_to_psd(h) == 0.0) == (lambda_min(h) >= -DEFAULT_TOL.eig_tol)
+        assert (dist_to_psd(h) == 0.0) == (lambda_min(h) >= -EIG_TOL)
 
 
 def test_psd_sqrt_examples():
@@ -98,7 +97,7 @@ def test_psd_sqrt_reconstructs():
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = g @ g.conj().T
         s = psd_sqrt(h)
-        assert op_norm(s @ s - h) <= 10 * DEFAULT_TOL.eig_tol * max(1.0, op_norm(h))
+        assert op_norm(s @ s - h) <= 10 * EIG_TOL * max(1.0, op_norm(h))
 
 
 def test_psd_sqrt_rejects_negative():
@@ -136,14 +135,6 @@ def test_amplify_norm_invariance():
         for n in (1, 2, 3, 4):
             assert amplify(m, n).shape == (3 * n, 3 * n)
             assert op_norm(amplify(m, n)) == pytest.approx(op_norm(m), rel=1e-10)
-
-
-def test_tolerance_validation():
-    Tolerance(1e-9, 1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(eig_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(norm_rtol=0.5)
 
 
 def test_json_round_trip():
