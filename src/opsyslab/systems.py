@@ -3,8 +3,16 @@
 A system is stored through a Hilbert-Schmidt-orthonormal basis obtained by
 Gram-Schmidt over [identity, generators, their adjoints], so the span is
 always unital and closed under adjoints.  The operator-norm distance to a
-span is a small semidefinite program; `dist_to_system` solves it with a
-log-det barrier method whose duality gap certifies the answer.
+span is a small semidefinite program; `dist_bracket` solves it with a log-det
+barrier method and returns (lower, upper).  upper is a feasible value.  lower
+is a dual certificate: for any Z that is Hilbert-Schmidt-orthogonal to the
+span, |<Z, x>| = |<Z, x - y>| <= ||Z||_1 ||x - y|| for every y in the span, so
+|<Z, x>| / ||Z||_1 (||.||_1 the trace norm) bounds the distance from below.
+The solver tries the residual x - P(x) and, after each centering stage, the
+off-diagonal block of the barrier's G^-1, each projected off the span, and
+keeps the best.  `dist_to_system` returns upper and raises
+np.linalg.LinAlgError when the two are more than _BRACKET_RTOL * max(1, upper)
+apart.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ __all__ = [
     "canonicalize",
     "full_matrix_algebra",
     "diagonal_algebra",
+    "dist_bracket",
     "dist_to_system",
     "is_product_closed",
     "unitary_defect",
@@ -33,7 +42,8 @@ __all__ = [
 ]
 
 _INDEPENDENCE_RTOL = 1e-8
-_GAP_TOL = 2e-10  # duality gap at which the span-distance barrier method stops
+_GAP_TOL = 2e-10  # n/tau at which the span-distance barrier method stops
+_BRACKET_RTOL = 1e-7  # relative bracket width above which dist_to_system fails
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -196,84 +206,83 @@ def diagonal_algebra(d: int) -> OperatorSystem:
 
 
 # ---------------------------------------------------------------------------
-# Certified spectral-norm minimization over an affine family
+# Certified operator-norm distance to a span
 # ---------------------------------------------------------------------------
 
 def _dilation(m: np.ndarray) -> np.ndarray:
-    r, c = m.shape
-    z = np.zeros((r + c, r + c), dtype=complex)
-    z[:r, r:] = m
-    z[r:, :r] = m.conj().T
+    """[[0, m], [m*, 0]], for one matrix or for each matrix of a stack."""
+    *lead, r, c = m.shape
+    z = np.zeros((*lead, r + c, r + c), dtype=complex)
+    z[..., :r, r:] = m
+    z[..., r:, :r] = np.swapaxes(m, -1, -2).conj()
     return z
 
 
-def _is_pd(g: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(g)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _min_affine_spectral(m0: np.ndarray, basis: np.ndarray) -> tuple[float, float]:
+    """Bracket min ||m0 + y||_2 over y in the complex span of an HS-orthonormal stack.
 
-
-def _logdet(g: np.ndarray) -> float:
-    ell = np.linalg.cholesky(g)
-    return 2.0 * float(np.sum(np.log(np.diag(ell).real)))
-
-
-def _min_affine_spectral(m0: np.ndarray, dirs: list[np.ndarray]):
-    """Minimize ||m0 + sum_j theta_j dirs_j||_2 over real theta.
-
-    Barrier method on { (theta, t) : t*I - dilation(M(theta)) > 0 }; the
-    returned value is feasible and within _GAP_TOL of the optimum.
+    Barrier method on { (theta, t) : G = t*I - dilation(m0 + sum_j theta_j dirs_j) > 0 }
+    with real theta, where dirs runs over b and i*b for each basis matrix b.
+    Returns (lower, upper): upper is the final t, and lower the best dual
+    certificate (module docstring) over Z = R = m0 - P(m0) and, after each
+    centering stage, Z = the top-right block of that stage's G^-1.
     """
     r, c = m0.shape
     n = r + c
-    m = len(dirs)
+    k = len(basis)
+    m = 2 * k
+    dirs = np.empty((m, r, c), dtype=complex)
+    dirs[0::2] = basis
+    dirs[1::2] = 1j * basis
     w0 = _dilation(m0)
-    wd = [_dilation(d) for d in dirs]
+    w = _dilation(dirs)
+    wflat = w.reshape(m, -1)
+    frame = basis.reshape(k, -1)
 
-    # Frobenius least-squares start
-    a_cols = np.stack([_vec(d) for d in dirs], axis=1)
+    # Frobenius least-squares start; its residual is R
+    a_cols = dirs.reshape(m, -1).T
     a_real = np.vstack([a_cols.real, a_cols.imag])
     b_real = np.concatenate([_vec(m0).real, _vec(m0).imag])
     theta = np.linalg.lstsq(a_real, -b_real, rcond=None)[0]
+    resid = m0 + _combine(theta, dirs)
 
-    def mat(th):
-        out = m0.astype(complex).copy()
-        for j in range(m):
-            out += th[j] * dirs[j]
-        return out
+    def certificate(z):
+        # for Z HS-orthogonal to the span, |<Z, R>| = |<Z, m0 + y>| <= ||Z||_1 ||m0 + y||
+        v = _vec(z)
+        z = (v - (frame.conj() @ v) @ frame).reshape(r, c)
+        nuc = float(np.linalg.svd(z, compute_uv=False).sum())
+        return float(abs(np.vdot(z, resid))) / nuc if nuc > 0 else 0.0
 
-    t = op_norm(mat(theta)) * 1.0
+    t = op_norm(resid)
     t += max(1.0, 0.25 * t)
     x = np.concatenate([theta, [t]])
+    lower = certificate(resid)
+    eye = np.eye(n)
 
     def g_of(xv):
-        g = xv[m] * np.eye(n, dtype=complex) - w0
-        for j in range(m):
-            g = g - xv[j] * wd[j]
-        return g
+        return xv[m] * eye - w0 - (xv[:m] @ wflat).reshape(n, n)
 
     def phi(xv, tau):
-        g = g_of(xv)
-        if not _is_pd(g):
+        # one Cholesky is both the positive-definiteness test and the logdet
+        try:
+            ell = np.linalg.cholesky(g_of(xv))
+        except np.linalg.LinAlgError:
             return np.inf
-        return tau * xv[m] - _logdet(g)
+        return tau * xv[m] - 2.0 * float(np.sum(np.log(ell.diagonal().real)))
 
     tau = 1.0
     mu = 25.0
     for _ in range(64):
-        # Newton centering at this tau
+        # Newton centering at this tau.  dG/dtheta_j = -W_j and dG/dt = +I, so
+        # with S_a = G^-1 dG/dx_a the gradient is tau*e_t - tr(S_a) and the
+        # Hessian is tr(S_a S_b); s stacks -S_a = [G^-1 W_j, -G^-1]
+        base = phi(x, tau)
         for _ in range(60):
-            g = g_of(x)
-            ginv = np.linalg.inv(g)
-            s_list = [ginv @ wd[j] for j in range(m)] + [ginv]
-            grad = np.empty(m + 1)
-            for j in range(m):
-                grad[j] = np.trace(s_list[j]).real
-            grad[m] = tau - np.trace(ginv).real
-            stack = np.stack(s_list)
-            hess = np.einsum("aij,bji->ab", stack, stack).real
+            ginv = np.linalg.inv(g_of(x))
+            s = np.concatenate([ginv @ w, -ginv[None]])
+            grad = np.einsum("aii->a", s).real
+            grad[m] += tau
+            hess = (s.reshape(m + 1, -1) @ np.swapaxes(s, 1, 2).reshape(m + 1, -1).T).real
             hess = (hess + hess.T) / 2
             try:
                 step = np.linalg.solve(hess + 1e-14 * np.eye(m + 1), -grad)
@@ -282,43 +291,61 @@ def _min_affine_spectral(m0: np.ndarray, dirs: list[np.ndarray]):
             decrement = float(-grad @ step)
             if not np.isfinite(decrement) or decrement <= 1e-11:
                 break
-            # backtracking line search on the barrier objective
-            base = phi(x, tau)
+            # backtracking line search on the barrier objective; when it finds
+            # no decrease (tau*t swamps phi's rounding late on), the stage ends
+            # and the certificate gap decides convergence
             alpha = 1.0
             while alpha > 1e-14:
                 cand = x + alpha * step
                 val = phi(cand, tau)
                 if val < base - 0.25 * alpha * decrement + 1e-15:
-                    x = cand
+                    x, base = cand, val
                     break
                 alpha /= 2
             else:
                 break
+        lower = max(lower, certificate(ginv[:r, r:]))
         if n / tau <= _GAP_TOL:
             break
         tau *= mu
-    return float(x[m]), x[:m]
+    return lower, float(x[m])
+
+
+def dist_bracket(x, system: OperatorSystem) -> tuple[float, float]:
+    """(lower, upper) bounds on the operator-norm distance from x to span(system).
+
+    The module docstring says how each end is certified.  The width is not
+    checked here; `dist_to_system` checks it.
+    """
+    a = system._check_ambient(x)
+    return _min_affine_spectral(a, system._stack)
 
 
 def dist_to_system(x, system: OperatorSystem) -> float:
-    """Operator-norm distance from x to span(system), certified to a duality gap of 2e-10."""
-    a = system._check_ambient(x)
-    dirs: list[np.ndarray] = []
-    for b in system.basis:
-        dirs.append(b)
-        dirs.append(1j * b)
-    value, _ = _min_affine_spectral(a, dirs)
-    return max(0.0, value)
+    """Operator-norm distance from x to span(system): the upper end of `dist_bracket`.
+
+    Raises np.linalg.LinAlgError (a ValueError) when the bracket is wider than
+    _BRACKET_RTOL * max(1, upper), that is, when the solver did not converge.
+    """
+    lower, upper = dist_bracket(x, system)
+    if upper - lower > _BRACKET_RTOL * max(1.0, upper):
+        raise np.linalg.LinAlgError(
+            f"span-distance solver did not converge: bracket [{lower!r}, {upper!r}]")
+    return upper
 
 
 def is_product_closed(system: OperatorSystem) -> tuple[bool, float]:
     """Exact product-closure oracle: max distance of basis products b_i b_j* to the span.
 
-    The span counts as closed when that distance is at most 1e-9.
+    Only the pairs i <= j are solved: the span is *-closed and
+    (b_i b_j*)* = b_j b_i*, and the operator norm is *-invariant, so
+    dist(b_j b_i*, S) = dist(b_i b_j*, S).  That is k(k+1)/2 solves, not k^2.
+    The span counts as closed when the maximum is at most 1e-9.
     """
+    basis = system.basis
     defect = 0.0
-    for bi in system.basis:
-        for bj in system.basis:
+    for i, bi in enumerate(basis):
+        for bj in basis[i:]:
             defect = max(defect, dist_to_system(bi @ bj.conj().T, system))
     return defect <= 1e-9, defect
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsyslab import (
     canonicalize,
     diagonal_algebra,
+    dist_bracket,
     dist_to_system,
     full_matrix_algebra,
     is_product_closed,
@@ -105,6 +107,67 @@ def test_product_closure_oracle():
     assert defect == pytest.approx(0.5, abs=1e-6)
     closed, defect = is_product_closed(diagonal_algebra(2))
     assert closed and defect <= 1e-9
+
+
+def _ginibre(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _conjugated(rng, units):
+    """u units u* for a Haar unitary u: a conjugated copy of the algebra they span."""
+    q, r = np.linalg.qr(_ginibre(rng, len(units[0])))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return canonicalize([u @ e @ u.conj().T for e in units], len(u))
+
+
+def _random_system(family, d, rng):
+    if family == "span":  # span{1, g, g*}
+        return canonicalize([_ginibre(rng, d)], d)
+    if family == "two":  # span{1, g, g*, h, h*}
+        return canonicalize([_ginibre(rng, d), _ginibre(rng, d)], d)
+    return _conjugated(rng, [np.diag(e) for e in np.eye(d)])  # diag_d
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.sampled_from(["span", "diag", "two"]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_dist_bracket_certifies_distance(family, d, seed):
+    rng = np.random.default_rng(seed)
+    s = _random_system(family, d, rng)
+    x = rng.uniform(0.1, 3.0) * _ginibre(rng, d)
+    lower, upper = dist_bracket(x, s)
+    sv = np.linalg.svd(x - s.project(x), compute_uv=False)  # singular values of R = x - P(x)
+    assert lower <= upper
+    assert upper - lower <= 1e-7 * max(1.0, upper)
+    # R is HS-orthogonal to the span, so ||R||_F^2 / ||R||_1 is a dual bound
+    # the certificate must match, and R's own norm is a feasible value
+    if sv.sum() > 0:
+        assert lower >= sv @ sv / sv.sum() - 1e-12
+    assert upper <= sv[0] + 1e-9
+    assert upper == dist_to_system(x, s)
+    # the span is *-closed and the norm *-invariant
+    assert abs(dist_to_system(x.conj().T, s) - upper) <= 1e-9
+
+
+def test_dist_to_system_reports_non_convergence(monkeypatch):
+    from opsyslab import systems
+
+    monkeypatch.setattr(systems, "_min_affine_spectral", lambda m0, basis: (0.5, 0.5 + 1e-6))
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        dist_to_system(E11, canonicalize([E12], 2))
+
+
+def test_product_closure_halving_matches_all_pairs():
+    rng = np.random.default_rng(31)
+    e = np.eye(3)
+    m2_plus_c = [np.outer(e[i], e[j]) for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]]
+    systems = [full_matrix_algebra(2), diagonal_algebra(3), _conjugated(rng, m2_plus_c),
+               canonicalize([E12], 2), _random_system("span", 3, rng),
+               _random_system("two", 3, rng)]
+    for s, closed_expected in zip(systems, [True] * 3 + [False] * 3):
+        closed, defect = is_product_closed(s)
+        all_pairs = max(dist_to_system(bi @ bj.conj().T, s) for bi in s.basis for bj in s.basis)
+        assert closed == closed_expected == (all_pairs <= 1e-9)
+        assert abs(defect - all_pairs) <= 1e-9
 
 
 def test_closed_spans_absorb_products():
