@@ -22,7 +22,7 @@ from .defects import (
     unitary_average_decompose,
     walter_matrix,
 )
-from .logic import EvalConfig, evaluate, sentence_from_json
+from .logic import OPT_TOL, EvalConfig, evaluate, sentence_from_json
 from .matrices import lambda_min, matrix_from_json, matrix_to_json, op_norm, random_contraction
 from .systems import is_product_closed, system_from_json, unitary_defect
 from .ucp import (
@@ -54,7 +54,6 @@ def _config(args) -> EvalConfig:
     return EvalConfig(
         multistart=args.multistart,
         max_iter=args.max_iter,
-        opt_tol=args.opt_tol,
         rng_seed=args.seed,
     )
 
@@ -101,7 +100,7 @@ def _cmd_detect_unitary(args):
     u = _load(args.matrix, matrix_from_json)
     config = _config(args)
     scores = {str(n): unitarity_score(u, n, config) for n in range(1, args.n_max + 1)}
-    flag = all(v >= UNITARY_PLATEAU - config.opt_tol for v in scores.values())
+    flag = all(v >= UNITARY_PLATEAU - OPT_TOL for v in scores.values())
     result = {
         "defect": max(0.0, UNITARY_PLATEAU - min(scores.values())),
         "is_unitary": bool(flag),
@@ -184,28 +183,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opsyslab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0xC5A1)
-    common.add_argument("--multistart", type=int, default=16)
-    common.add_argument("--max-iter", type=int, default=2000)
-    common.add_argument("--opt-tol", type=float, default=1e-3)
     common.add_argument("--assert", dest="assert_threshold", type=float, default=None,
                         help="exit 1 when the result defect exceeds this threshold")
     common.add_argument("--out", type=str, default=None,
                         help="also write the report to this path")
+    # the search budget, for the commands that run quantifier searches
+    search = argparse.ArgumentParser(add_help=False, parents=[common])
+    search.add_argument("--multistart", type=int, default=16)
+    search.add_argument("--max-iter", type=int, default=2000)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-closure", parents=[common],
+    p = sub.add_parser("check-closure", parents=[search],
                        help="closure sentence for a subsystem inside an ambient algebra")
     p.add_argument("system")
     p.add_argument("ambient")
     p.set_defaults(fn=_cmd_check_closure)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a sentence file")
+    p = sub.add_parser("eval", parents=[search], help="evaluate a sentence file")
     p.add_argument("sentence")
     p.add_argument("--structure", action="append", metavar="NAME=FILE")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("detect-unitary", parents=[common],
+    p = sub.add_parser("detect-unitary", parents=[search],
                        help="unitarity scores and plateau test for a contraction")
     p.add_argument("matrix")
     p.add_argument("--n-max", type=int, default=2)
@@ -254,11 +254,8 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "inputs": inputs,
-        "config": {
-            "multistart": args.multistart,
-            "max_iter": args.max_iter,
-            "opt_tol": args.opt_tol,
-        },
+        "config": {name: getattr(args, name) for name in ("multistart", "max_iter")
+                   if hasattr(args, name)},
         "result": result,
         "elapsed_ms": elapsed_ms,
         "seed": args.seed,

@@ -27,6 +27,7 @@ from .logic import (
     Min,
     Norm,
     NormSq,
+    OPT_TOL,
     PsdDist,
     Scale,
     Sum,
@@ -250,9 +251,8 @@ def unitarity_score(u, n: int = 1, config: EvalConfig | None = None) -> float:
 
 def unitary_detect(u, n_max: int = 2, config: EvalConfig | None = None) -> bool:
     """True when the unitarity score sits on the plateau for all levels <= n_max."""
-    config = config or EvalConfig()
     return all(
-        unitarity_score(u, n, config) >= UNITARY_PLATEAU - config.opt_tol
+        unitarity_score(u, n, config) >= UNITARY_PLATEAU - OPT_TOL
         for n in range(1, n_max + 1)
     )
 
@@ -375,6 +375,6 @@ def product_distance(x, y, z, A: OperatorSystem) -> float:
     A.require_cstar()
     x, y, z = _common_square(x, y, z)
     for name, m in (("x", x), ("y", y), ("z", z)):
-        if dist_to_system(m, A) > 1e-6:
+        if A.membership_residual(m) > 1e-6:
             raise ValueError(f"{name} is not in the span of the structure")
     return op_norm(x @ y - z)

@@ -16,8 +16,6 @@ fixed EvalConfig.
 
 from __future__ import annotations
 
-import cmath
-import numbers
 import warnings
 import zlib
 from dataclasses import dataclass, field, fields
@@ -29,6 +27,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .matrices import (
+    _array,
+    _complex,
+    _finite,
+    _integer,
+    _number,
+    _string,
     amplify as _amplify,
     as_matrix,
     dist_to_psd,
@@ -44,7 +48,7 @@ __all__ = [
     "Formula", "Norm", "NormSq", "SpanDist", "PsdDist", "AbsDiff", "DotMinus",
     "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf", "Pred",
     "Ball", "UnitaryBall",
-    "EvalConfig", "EvalResult", "SearchStats", "evaluate",
+    "OPT_TOL", "EvalConfig", "EvalResult", "SearchStats", "evaluate",
     "PredicateRegistry", "register_predicate", "DEFAULT_REGISTRY",
     "free_variables", "substitute", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
@@ -68,14 +72,6 @@ class Term:
 
 class Formula:
     pass
-
-
-def _finite(value):
-    """value, checked to be a finite real or complex number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Number) \
-            or not cmath.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
 
 
 def _as_term(x) -> Term:
@@ -259,8 +255,6 @@ class Lit(Formula):
 
 
 def _norm_bindings(bindings):
-    if bindings and isinstance(bindings[0], str):
-        bindings = (bindings,)
     out = tuple((str(name), ball) for name, ball in bindings)
     if not out:
         raise ValueError("quantifier needs at least one bound variable")
@@ -366,34 +360,6 @@ class _Codec:
     rebuild: Callable = lambda value, it: value   # the value with children drawn from it
 
 
-def _array(value, length: int | None = None) -> list:
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        size = "an array" if length is None else f"an array of {length}"
-        raise ValueError(f"expected {size}, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    return float(_finite(value))
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _complex_from_json(value) -> complex:
-    re, im = _array(value, 2)
-    return complex(_number(re), _number(im))
-
-
 def _bindings_to_json(bindings) -> list:
     return [[name, ball.structure, "U" if isinstance(ball, UnitaryBall) else float(ball.radius)]
             for name, ball in bindings]
@@ -429,7 +395,7 @@ _CODECS = {
     "str": _Codec(str, _string, seed=lambda s: (s.encode(),)),
     "int": _Codec(int, _integer, seed=lambda n: (str(n).encode(),)),
     "float": _Codec(float, _number, seed=lambda x: (np.float64(x).tobytes(),)),
-    "complex": _Codec(lambda c: [float(c.real), float(c.imag)], _complex_from_json,
+    "complex": _Codec(lambda c: [float(c.real), float(c.imag)], _complex,
                       seed=lambda c: (np.complex128(c).tobytes(),)),
     "np.ndarray": _Codec(matrix_to_json, matrix_from_json,
                          seed=lambda a: (np.ascontiguousarray(a).tobytes(),
@@ -553,34 +519,22 @@ def _iter_subtree(node):
         yield from _iter_subtree(child)
 
 
-def _static_floor(node) -> float:
-    """Static lower bound of a formula's value (used for inf early stopping)."""
-    if isinstance(node, (Norm, NormSq, SpanDist, PsdDist, AbsDiff, DotMinus)):
-        return 0.0
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Plus):
-        return _static_floor(node.left) + _static_floor(node.right)
-    if isinstance(node, Times):
-        return node.coeff * _static_floor(node.arg)
-    if isinstance(node, Max):
-        return max(_static_floor(node.left), _static_floor(node.right))
-    if isinstance(node, Min):
-        return min(_static_floor(node.left), _static_floor(node.right))
-    if isinstance(node, (Sup, Inf)):
-        return _static_floor(node.body)
-    return -np.inf
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+OPT_TOL = 1e-3
+"""Accuracy a quantifier search aims at.
+
+A gain below a tenth of it does not count as progress when a search's budget
+runs out, and the plateau test of `unitary_detect` allows this much.
+"""
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     multistart: int = 16
     max_iter: int = 2000
-    opt_tol: float = 1e-3
     rng_seed: int = 0xC5A1
 
     def __post_init__(self):
@@ -588,8 +542,6 @@ class EvalConfig:
             raise ValueError("multistart must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.opt_tol > 0:
-            raise ValueError("opt_tol must be positive")
 
 
 @dataclass
@@ -632,7 +584,6 @@ class _VarFrame:
     """Maps a real coordinate vector to a ball element of one structure."""
 
     def __init__(self, ball, system: OperatorSystem):
-        self.ball = ball
         self.system = system
         if isinstance(ball, Ball):
             self.kind = "span"
@@ -662,14 +613,13 @@ class _VarFrame:
         return exp_i_hermitian(h)
 
     def coords_of(self, matrix) -> np.ndarray:
-        a = as_matrix(matrix)
         if self.kind == "span":
-            c = self.system.coords(a)
+            c = self.system.coords(matrix)
             out = np.empty(self.ncoords)
             out[0::2] = c.real
             out[1::2] = c.imag
             return out
-        h = unitary_log(a)
+        h = unitary_log(self.system._check_ambient(matrix))
         return np.einsum("kij,ij->k", self._hstack.conj(), h).real
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -689,10 +639,13 @@ class _VarFrame:
 
 
 class _Quantifier:
-    """One compiled Sup/Inf: its ball frames, compiled body and search budget.
+    """One compiled Sup/Inf: its ball frames, hints, compiled body and search budget.
 
-    found holds the witnesses of its latest search's best point: its own
-    variables, then those its inner quantifiers found there.
+    hints holds one list of parts (frame index, coordinate slice, value) per
+    hint entry naming its variables; a value is charted coordinates, or a
+    callable of the outer variables charted at each search.  found holds the
+    witnesses of its latest search's best point: its own variables, then those
+    its inner quantifiers found there.
     """
 
     def __init__(self, node, frames: list[_VarFrame]):
@@ -701,8 +654,10 @@ class _Quantifier:
         self.names = [name for name, _ in node.bindings]
         self.frames = frames
         self.offsets = _offsets(f.ncoords for f in frames)
-        self.floor = _static_floor(node.body)
-        self.body: Callable = None  # fn(env), set once the body is compiled
+        self.hints: list[list[tuple]] = []
+        # fn(env) and its static lower bound, set once the body is compiled
+        self.body: Callable = None
+        self.floor = 0.0
         self.inner: list[_Quantifier] = []  # the quantifiers directly inside the body
         self.found: dict[str, np.ndarray] = {}
         self.samples: np.ndarray = None
@@ -736,12 +691,13 @@ def _identity(c: complex, shape) -> np.ndarray:
     return out
 
 
+# each binary connective: its value, and its static floor from its operands' floors
 _CONNECTIVES = {
-    AbsDiff: lambda a, b: abs(a - b),
-    DotMinus: lambda a, b: max(0.0, a - b),
-    Max: max,
-    Min: min,
-    Plus: add,
+    AbsDiff: (lambda a, b: abs(a - b), lambda a, b: 0.0),
+    DotMinus: (lambda a, b: max(0.0, a - b), lambda a, b: 0.0),
+    Max: (max, max),
+    Min: (min, min),
+    Plus: (add, add),
 }
 
 
@@ -749,14 +705,13 @@ class _Evaluator:
     """Compiles a sentence once into closures, then runs its quantifier searches.
 
     A term compiles to fn(env) with a static shape, a formula to
-    fn(env) -> float; env maps bound variable names to matrices.  Every
-    shape, structure and product-closure error is raised while compiling,
-    before the first body evaluation.
+    fn(env) -> float with a static floor; env maps bound variable names to
+    matrices.  Every shape, structure, product-closure and constant-hint error
+    is raised while compiling, before the first body evaluation.
     """
 
     def __init__(self, sentence: Formula, structures: Mapping[str, OperatorSystem],
                  config: EvalConfig, hints, probe, registry: PredicateRegistry):
-        self.config = config
         self.structures = dict(structures)
         self.hints = list(hints or ())
         self.probe = probe
@@ -766,7 +721,7 @@ class _Evaluator:
         self.ambient = min((s.ambient_dim for s in self.structures.values()), default=1)
         self.quantifiers: list[_Quantifier] = []
         self.top: list[_Quantifier] = []  # the quantifiers outside every other one
-        self.root = self._formula(self.sentence, {})
+        self.root, _ = self._formula(self.sentence, {})
         self.converged = True
         single_block = len(self.quantifiers) == 1
         for q in self.quantifiers:
@@ -898,23 +853,26 @@ class _Evaluator:
     # -- compiling formulas ---------------------------------------------------
 
     def _formula(self, f: Formula, scope, outer: _Quantifier | None = None, depth: int = 0):
-        """Compile a formula into fn(env) -> float.
+        """Compile a formula into (fn(env) -> float, floor).
 
-        outer is the innermost enclosing quantifier and depth its alternation
-        depth, for the alternation cap.
+        floor is a static lower bound of the value, for the early stop of an
+        inf.  outer is the innermost enclosing quantifier and depth its
+        alternation depth, for the alternation cap.
         """
         if isinstance(f, (Sup, Inf)):
             return self._quantifier(f, scope, outer, depth)
         if type(f) in _CONNECTIVES:
-            op = _CONNECTIVES[type(f)]
-            left = self._formula(f.left, scope, outer, depth)
-            right = self._formula(f.right, scope, outer, depth)
-            return lambda env: op(left(env), right(env))
+            op, floor = _CONNECTIVES[type(f)]
+            left, lo = self._formula(f.left, scope, outer, depth)
+            right, ro = self._formula(f.right, scope, outer, depth)
+            return (lambda env: op(left(env), right(env))), floor(lo, ro)
         if isinstance(f, Times):
-            coeff, arg = f.coeff, self._formula(f.arg, scope, outer, depth)
-            return lambda env: coeff * arg(env)
+            coeff = f.coeff
+            arg, floor = self._formula(f.arg, scope, outer, depth)
+            return (lambda env: coeff * arg(env)), coeff * floor
         if isinstance(f, Lit):
-            return _constant(float(f.value))
+            value = float(f.value)
+            return _constant(value), value
         if not isinstance(f, (Norm, NormSq, SpanDist, PsdDist)):
             raise TypeError(f"unknown formula node {type(f).__name__}")
         shape, arg = self._term(f.arg, scope)
@@ -922,16 +880,16 @@ class _Evaluator:
             shape = (self.ambient, self.ambient)
             arg = _constant(_identity(arg, shape))
         if isinstance(f, Norm):
-            return lambda env: _spec_norm(arg(env))
+            return (lambda env: _spec_norm(arg(env))), 0.0
         if isinstance(f, NormSq):
             def norm_sq(env):
                 v = _spec_norm(arg(env))
                 return v * v
-            return norm_sq
+            return norm_sq, 0.0
         system = self._system(f.structure)
         if isinstance(f, SpanDist):
-            return lambda env: dist_to_system(arg(env), system)
-        return self._psd_dist(shape, arg, system)
+            return (lambda env: dist_to_system(arg(env), system)), 0.0
+        return self._psd_dist(shape, arg, system), 0.0
 
     @staticmethod
     def _psd_dist(shape, arg, system: OperatorSystem):
@@ -964,37 +922,34 @@ class _Evaluator:
                                  "product-closed structure")
             frames.append(_VarFrame(ball, system))
         q = _Quantifier(f, frames)
+        for entry in self.hints:
+            parts = []
+            for idx, name in enumerate(q.names):
+                if name in entry:
+                    value = entry[name]
+                    parts.append((idx, slice(q.offsets[idx], q.offsets[idx + 1]),
+                                  value if callable(value) else frames[idx].coords_of(value)))
+            if parts:
+                q.hints.append(parts)
         self.quantifiers.append(q)
         (outer.inner if outer else self.top).append(q)
-        q.body = self._formula(f.body, {**scope, **dict(f.bindings)}, q, depth)
-        return lambda env: self._quant(q, env)
+        q.body, q.floor = self._formula(f.body, {**scope, **dict(f.bindings)}, q, depth)
+        return (lambda env: self._quant(q, env)), q.floor
 
     # -- quantifier optimization --------------------------------------------
 
     def _starts_for(self, q: _Quantifier, env):
         # hints first: for an inf they can trigger the floor early-stop before
         # any sampled start is even evaluated
-        total = q.offsets[-1]
         starts = []
-        for entry in self.hints:
-            if not any(name in entry for name in q.names):
-                continue
-            coords = np.zeros(total)
-            usable = True
-            for idx, name in enumerate(q.names):
-                if name not in entry:
-                    continue
-                value = entry[name]
+        for parts in q.hints:
+            coords = np.zeros(q.offsets[-1])
+            for idx, cut, value in parts:
                 if callable(value):
-                    value = value(dict(env))
-                try:
-                    coords[q.offsets[idx]:q.offsets[idx + 1]] = q.frames[idx].coords_of(value)
-                except (ValueError, np.linalg.LinAlgError):
-                    usable = False
-                    break
-            if usable:
-                starts.append(coords)
-        starts.append(np.zeros(total))
+                    value = q.frames[idx].coords_of(value(dict(env)))
+                coords[cut] = value
+            starts.append(coords)
+        starts.append(np.zeros(q.offsets[-1]))
         starts.extend(q.samples)
         return starts
 
@@ -1028,7 +983,7 @@ class _Evaluator:
             value = seen[key] = q.body(bound)
             improved = value > best["value"] if is_sup else value < best["value"]
             if improved:
-                if abs(value - best["value"]) > 0.1 * self.config.opt_tol:
+                if abs(value - best["value"]) > 0.1 * OPT_TOL:
                     best["sig_at"] = evals["n"]
                 # the inner searches just ran at this point
                 found = {name: bound[name] for name in q.names}
@@ -1106,7 +1061,10 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
 
     hints: optional list of partial witness assignments {var: matrix-or-callable};
     callables receive the environment of already-bound outer variables.  Hinted
-    points are always among the optimizer starts.
+    points are always among the optimizer starts.  A matrix is charted into its
+    ball's coordinates once, while compiling; a callable's value is charted at
+    each search.  A hint that does not fit its ball (say, of the wrong size) is
+    an error: ValueError, raised for a matrix before the first body evaluation.
 
     probe: optional callable probe(node, env, value), called with the result of
     every quantifier search.  Each search remembers the points it has scored,
@@ -1151,7 +1109,7 @@ def _from_json(obj, kind: type):
 def _decode(obj, kind: type):
     try:
         return _from_json(obj, kind)
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed sentence JSON: {exc}") from exc
 
 

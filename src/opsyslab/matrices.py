@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 import json
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -185,26 +187,60 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
+def _finite(value):
+    """value, checked to be a finite real or complex number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number) \
+            or not cmath.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+# Strict readers of decoded JSON values: a number must be a JSON number and an
+# integer a JSON integer, never a string or a boolean.
+
+def _array(value, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"expected an array of {length}, got {len(value)} entries")
+    return value
+
+
+def _number(value) -> float:
+    try:
+        return float(_finite(value))
+    except OverflowError:
+        raise ValueError("number out of the floating-point range") from None
+
+
+def _complex(value) -> complex:
+    re, im = _array(value, 2)
+    return complex(_number(re), _number(im))
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        rows, cols, data = _integer(obj["rows"]), _integer(obj["cols"]), obj["data"]
+        if rows < 1 or cols < 1:
+            raise ValueError("dimensions must be >= 1")
+        flat = [_complex(pair) for pair in _array(data, rows * cols)]
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix JSON dimensions must be >= 1")
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise ValueError(f"matrix JSON data must list {rows * cols} entries")
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"matrix JSON entry {i} is not an [re, im] pair")
-        try:
-            flat[i] = complex(float(pair[0]), float(pair[1]))
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed matrix JSON entry {i}: {exc}") from exc
-    return as_matrix(flat.reshape(rows, cols))
+    return as_matrix(np.array(flat, dtype=complex).reshape(rows, cols))
 
 
 def save_matrix(path, m) -> None:

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrices import as_matrix, matrix_from_json, matrix_to_json, op_norm
+from .matrices import _array, _integer, as_matrix, matrix_from_json, matrix_to_json, op_norm
 
 __all__ = [
     "OperatorSystem",
@@ -398,9 +398,9 @@ def system_from_json(obj) -> OperatorSystem:
     if not isinstance(obj, dict):
         raise ValueError("operator-system JSON must be an object")
     try:
-        d = int(obj["ambient_dim"])
-        raw = [matrix_from_json(m) for m in obj["basis"]]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        d = _integer(obj["ambient_dim"])
+        raw = [matrix_from_json(m) for m in _array(obj["basis"])]
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed operator-system JSON: {exc}") from exc
     return canonicalize(raw, d)
 

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrices import (
+    _integer,
     as_matrix,
     dist_to_psd,
     matrix_from_json,
@@ -299,9 +300,9 @@ def ucp_from_json(obj) -> UcpMap:
     if not isinstance(obj, dict):
         raise ValueError("u.c.p. map JSON must be an object")
     try:
-        return UcpMap(int(obj["dom_dim"]), int(obj["cod_dim"]),
+        return UcpMap(_integer(obj["dom_dim"]), _integer(obj["cod_dim"]),
                       matrix_from_json(obj["choi"]))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed u.c.p. map JSON: {exc}") from exc
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from opsyslab import (
+    OPT_TOL,
     UNITARY_PLATEAU,
     EvalConfig,
     UcpMap,
@@ -89,7 +90,7 @@ def test_criterion_3_closure_forward_bound():
             trace.append((env["x"], env["y"], env["z"], value))
 
     report = product_closure_defect(system, ambient, CONFIG, probe=probe)
-    assert report.defect >= 1 / 64 - CONFIG.opt_tol
+    assert report.defect >= 1 / 64 - OPT_TOL
     assert trace, "probe recorded no inner evaluations"
     for x, y, z, eps in trace:
         delta = op_norm(x @ y.conj().T + z)
@@ -138,7 +139,7 @@ def test_criterion_6_four_unitary_average():
     assert worst_rec <= 1e-9
     assert worst_unit <= 1e-9
     span_defect = unitary_span_defect(full_matrix_algebra(2), CONFIG)
-    assert span_defect <= CONFIG.opt_tol
+    assert span_defect <= OPT_TOL
     print(f"\nACCEPTANCE 6 (decomposition rec {worst_rec:.1e}, unit {worst_unit:.1e}, "
           f"span defect {span_defect:.1e}): PASS")
 
@@ -149,7 +150,7 @@ def test_criterion_7_unitarity_plateau():
     unitaries = [haar_unitary(rng, int(rng.integers(1, 3))) for _ in range(20)]
     scores = [unitarity_score(u, n, CONFIG) for u in unitaries for n in (1, 2)]
     spread = max(abs(s - c_star) for s in scores)
-    assert spread <= 2 * CONFIG.opt_tol
+    assert spread <= 2 * OPT_TOL
 
     off_plateau = unitarity_score(np.diag([1.0, 0.5]), 1, CONFIG)
     assert off_plateau <= c_star - 0.05

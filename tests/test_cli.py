@@ -97,6 +97,14 @@ def test_parse_error_exit_2(files, capsys):
     ("eval", ["times", float("nan"), ["lit", 1.0]]),
     ("eval", ["sup", [["x", "A", 1.0]], ["lit", float("nan")]]),
     ("eval", ["sup", [["x", "A", float("inf")]], ["norm", ["var", "x"]]]),
+    # integers must be JSON integers and numbers JSON numbers in every file
+    ("decompose", {"rows": 1.9, "cols": 1, "data": [[0.5, 0]]}),
+    ("decompose", {"rows": "1", "cols": 1, "data": [[0.5, 0]]}),
+    ("decompose", {"rows": 1, "cols": 1, "data": [[True, "0"]]}),
+    ("check-closure", {"ambient_dim": 2.7, "basis": []}),
+    ("check-closure", {"ambient_dim": 2, "basis": {}}),
+    ("pisier", {"dom_dim": 1.5, "cod_dim": True, "choi": {"rows": 1, "cols": 1,
+                                                         "data": [[1, 0]]}}),
 ])
 def test_malformed_input_exit_2(files, capsys, tmp_path, command, content):
     path = tmp_path / "malformed.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opsyslab import (
+    OPT_TOL,
     UNITARY_PLATEAU,
     EvalConfig,
     block,
@@ -76,15 +77,15 @@ def test_completion_witness_row_identity():
 def test_closure_defect_closed_structures():
     r = product_closure_defect(full_matrix_algebra(2), full_matrix_algebra(2), FAST)
     assert r.defect <= 0.05
-    assert r.bound_check <= 4 * np.sqrt(max(r.defect, 0.0)) + FAST.opt_tol
+    assert r.bound_check <= 4 * np.sqrt(max(r.defect, 0.0)) + OPT_TOL
     r = product_closure_defect(diagonal_algebra(2), full_matrix_algebra(2), FAST)
     assert r.defect <= 0.05
 
 
 def test_closure_defect_open_structure():
     r = product_closure_defect(canonicalize([E12], 2), full_matrix_algebra(2), FAST)
-    assert r.defect >= 1 / 64 - FAST.opt_tol
-    assert r.bound_check <= 4 * np.sqrt(r.defect) + FAST.opt_tol
+    assert r.defect >= 1 / 64 - OPT_TOL
+    assert r.bound_check <= 4 * np.sqrt(r.defect) + OPT_TOL
     # the search trajectory is pinned bit for bit
     assert r.defect == 0.06523350739674161
     assert r.bound_check == 0.5326024998594803
@@ -138,8 +139,8 @@ def test_score_constant_at_unitaries():
     rng = np.random.default_rng(13)
     values = [unitarity_score(haar_unitary(rng, 2), n, FAST)
               for n in (1, 2) for _ in range(3)]
-    assert max(values) - min(values) <= 2 * FAST.opt_tol
-    assert abs(values[0] - UNITARY_PLATEAU) <= FAST.opt_tol
+    assert max(values) - min(values) <= 2 * OPT_TOL
+    assert abs(values[0] - UNITARY_PLATEAU) <= OPT_TOL
 
 
 def test_detect_examples():
@@ -182,7 +183,7 @@ def test_walter_raw_variant_is_not_hermitian():
 def test_certificate_sentence_on_algebra():
     r = evaluate(product_certificate_sentence(), {"A": full_matrix_algebra(2)},
                  FAST, hints=[{"x": lambda env: env["u"] @ env["v"]}])
-    assert r.value <= FAST.opt_tol
+    assert r.value <= OPT_TOL
 
 
 # -- averages of four unitaries --------------------------------------------------
@@ -210,9 +211,9 @@ def test_decompose_rejects_expansion():
 
 
 def test_unitary_span_defect_fixtures():
-    assert unitary_span_defect(full_matrix_algebra(2), FAST) <= FAST.opt_tol
-    assert unitary_span_defect(canonicalize([], 2), FAST) <= FAST.opt_tol
-    assert unitary_span_defect(diagonal_algebra(2), FAST) <= FAST.opt_tol
+    assert unitary_span_defect(full_matrix_algebra(2), FAST) <= OPT_TOL
+    assert unitary_span_defect(canonicalize([], 2), FAST) <= OPT_TOL
+    assert unitary_span_defect(diagonal_algebra(2), FAST) <= OPT_TOL
 
 
 def test_unitary_span_defect_rejects_open_structure():

@@ -21,6 +21,7 @@ from opsyslab import (
     NestingDepthError,
     Norm,
     NormSq,
+    OPT_TOL,
     Plus,
     Pred,
     PredicateRegistry,
@@ -59,14 +60,14 @@ FAST = EvalConfig(multistart=8, max_iter=400, rng_seed=7)
 def test_sup_ball_constraint_is_identically_zero():
     f = Sup((("x", Ball("A", 1.0)),), DotMinus(Norm(Var("x")), Lit(1.0)))
     r = evaluate(f, {"A": full_matrix_algebra(2)}, FAST)
-    assert r.value <= FAST.opt_tol
+    assert r.value <= OPT_TOL
     assert r.bound_kind == "lower-estimate"
 
 
 def test_inf_norm_to_identity_over_scalars():
     f = Inf((("x", Ball("A", 1.0)),), Norm(Sum(Var("x"), Unit(-1))))
     r = evaluate(f, {"A": canonicalize([], 3)}, FAST)
-    assert r.value <= FAST.opt_tol
+    assert r.value <= OPT_TOL
     assert r.bound_kind == "upper-estimate"
     assert np.allclose(r.witnesses["x"], np.eye(3), atol=1e-4)
 
@@ -74,7 +75,7 @@ def test_inf_norm_to_identity_over_scalars():
 def test_sup_norm_sq_reaches_ball_radius():
     f = Sup((("x", Ball("A", 1.0)),), NormSq(Var("x")))
     r = evaluate(f, {"A": full_matrix_algebra(2)}, FAST)
-    assert abs(r.value - 1.0) <= FAST.opt_tol
+    assert abs(r.value - 1.0) <= OPT_TOL
 
 
 def test_determinism():
@@ -128,7 +129,7 @@ def test_sup_dominates_sampled_points():
     r = evaluate(Sup((("x", Ball("A", 1.0)),), body), {"A": system}, FAST)
     for w in sample_ball(system, 1.0, 5, 10):
         plugged = evaluate(NormSq(Const(w)), {"A": system}, FAST)
-        assert r.value >= plugged.value - FAST.opt_tol
+        assert r.value >= plugged.value - OPT_TOL
 
 
 def test_inf_below_sampled_points():
@@ -136,7 +137,7 @@ def test_inf_below_sampled_points():
     r = evaluate(Inf((("x", Ball("A", 1.0)),), NormSq(Var("x"))), {"A": system}, FAST)
     for w in sample_ball(system, 1.0, 6, 10):
         plugged = evaluate(NormSq(Const(w)), {"A": system}, FAST)
-        assert r.value <= plugged.value + FAST.opt_tol
+        assert r.value <= plugged.value + OPT_TOL
 
 
 def test_monotone_connectives():
@@ -238,6 +239,31 @@ def test_shape_errors_precede_search(body):
     assert calls == []
 
 
+@pytest.mark.parametrize("ball", [Ball("A", 1.0), UnitaryBall("A")], ids=["span", "unitary"])
+@pytest.mark.parametrize("hint", [np.eye(3), lambda env: np.eye(3)], ids=["constant", "callable"])
+def test_malformed_hint_rejected(ball, hint):
+    calls = []
+    f = Inf((("x", ball),), Norm(Var("x")))
+    with pytest.raises(ValueError, match="expected a 2 x 2 matrix"):
+        evaluate(f, {"A": full_matrix_algebra(2)}, FAST, hints=[{"x": hint}],
+                 probe=lambda node, env, value: calls.append(value))
+    assert calls == []
+
+
+@pytest.mark.parametrize("body", [
+    Lit(0.5),
+    Plus(Lit(0.25), Norm(Var("x"))),
+    Times(2.0, Plus(Lit(0.1), Norm(Var("x")))),
+    Max(Lit(0.3), Norm(Var("x"))),
+    Min(Lit(0.3), Norm(Var("x"))),
+], ids=["lit", "plus", "times", "max", "min"])
+def test_inf_stops_at_static_floor(body):
+    # the zero start, scored first, reaches the body's floor, so the search stops there
+    r = evaluate(Inf((("x", Ball("A", 1.0)),), body), {"A": full_matrix_algebra(2)}, FAST)
+    assert r.stats[0].early_stops == 1
+    assert r.stats[0].evaluations == 1
+
+
 def test_psd_dist_rejects_non_hermitian_value():
     skew = Const(np.array([[0, 1], [0, 0]]))
     f = Sup((("x", Ball("A", 1.0)),), PsdDist(Sum(Var("x"), skew), "A"))
@@ -287,7 +313,7 @@ def test_product_gating():
         evaluate(f, {"A": open_system}, FAST)
     # fine over a closed structure
     r = evaluate(f, {"A": diagonal_algebra(2)}, FAST)
-    assert 0.0 <= r.value <= 1.0 + FAST.opt_tol
+    assert 0.0 <= r.value <= 1.0 + OPT_TOL
 
 
 def test_registry_definitional_expansion():
@@ -429,7 +455,7 @@ def test_alternating_witnesses_reproduce_value():
     r = evaluate(closure_sentence(), {"A": system, "B": ambient}, FAST)
     w = r.witnesses
     replayed = closure_gap(w["x"], w["y"], w["z"], w["b"])
-    assert replayed == pytest.approx(r.value, abs=FAST.opt_tol)
+    assert replayed == pytest.approx(r.value, abs=OPT_TOL)
     # Powell re-scores the start of every local search of the leaf sup_b
     assert r.stats[-1].repeats > 0
 
