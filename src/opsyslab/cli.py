@@ -23,8 +23,16 @@ from .defects import (
     walter_matrix,
 )
 from .logic import OPT_TOL, EvalConfig, evaluate, sentence_from_json
-from .matrices import lambda_min, matrix_from_json, matrix_to_json, op_norm, random_contraction
-from .systems import is_product_closed, system_from_json, unitary_defect
+from .matrices import (
+    _count,
+    lambda_min,
+    matrix_from_json,
+    matrix_to_json,
+    op_norm,
+    random_contraction,
+    unitary_defect,
+)
+from .systems import is_product_closed, system_from_json
 from .ucp import (
     clock_shift_unitaries,
     cs_inequality_residual,
@@ -179,18 +187,26 @@ def _cmd_pisier(args):
     return result, [args.map]
 
 
+def _count_flag(text: str) -> int:
+    """A count flag's value: an integer >= 1, else argparse exits 2."""
+    try:
+        return _count(int(text), "a count")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opsyslab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0xC5A1)
+    common.add_argument("--seed", type=int, default=EvalConfig.rng_seed)
     common.add_argument("--assert", dest="assert_threshold", type=float, default=None,
                         help="exit 1 when the result defect exceeds this threshold")
     common.add_argument("--out", type=str, default=None,
                         help="also write the report to this path")
     # the search budget, for the commands that run quantifier searches
     search = argparse.ArgumentParser(add_help=False, parents=[common])
-    search.add_argument("--multistart", type=int, default=16)
-    search.add_argument("--max-iter", type=int, default=2000)
+    search.add_argument("--multistart", type=_count_flag, default=EvalConfig.multistart)
+    search.add_argument("--max-iter", type=_count_flag, default=EvalConfig.max_iter)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-unitary", parents=[search],
                        help="unitarity scores and plateau test for a contraction")
     p.add_argument("matrix")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_count_flag, default=2)
     p.set_defaults(fn=_cmd_detect_unitary)
 
     p = sub.add_parser("walter", parents=[common],
@@ -225,14 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ucp-suite", parents=[common],
                        help="inequality suite over a random u.c.p. population")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--samples", type=_count_flag, default=200)
+    p.add_argument("--max-dim", type=_count_flag, default=3)
     p.set_defaults(fn=_cmd_ucp_suite)
 
     p = sub.add_parser("pisier", parents=[common],
                        help="unitary preservation versus multiplicativity of a map")
     p.add_argument("map")
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=_count_flag, default=8)
     p.set_defaults(fn=_cmd_pisier)
 
     return parser

@@ -38,6 +38,7 @@ from .logic import (
     evaluate,
 )
 from .matrices import (
+    _count,
     amplify,
     as_matrix,
     block,
@@ -135,11 +136,7 @@ def _closure_hints(A: OperatorSystem):
     farthest from the span; the z and b hints are the analytic constructions
     (projected back into the quantifier domains).
     """
-    cands = []
-    for b in A.basis:
-        nrm = op_norm(b)
-        if nrm > 1e-12:
-            cands.append(b / nrm)
+    cands = [b / op_norm(b) for b in A.basis]
     scored = []
     for i, ci in enumerate(cands):
         for j, cj in enumerate(cands):
@@ -253,7 +250,7 @@ def unitary_detect(u, n_max: int = 2, config: EvalConfig | None = None) -> bool:
     """True when the unitarity score sits on the plateau for all levels <= n_max."""
     return all(
         unitarity_score(u, n, config) >= UNITARY_PLATEAU - OPT_TOL
-        for n in range(1, n_max + 1)
+        for n in range(1, _count(n_max, "n_max") + 1)
     )
 
 

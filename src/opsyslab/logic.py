@@ -29,8 +29,8 @@ from scipy.optimize import minimize
 from .matrices import (
     _array,
     _complex,
+    _count,
     _finite,
-    _integer,
     _number,
     _string,
     amplify as _amplify,
@@ -144,8 +144,7 @@ class Amp(Term):
     copies: int
 
     def __post_init__(self):
-        if self.copies < 1:
-            raise ValueError("amplification count must be >= 1")
+        object.__setattr__(self, "copies", _count(self.copies, "amplification count"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,9 +329,6 @@ class PredicateRegistry:
             raise ValueError(f"unknown predicate {name!r}")
         return self._defs[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._defs
-
 
 DEFAULT_REGISTRY = PredicateRegistry()
 
@@ -393,7 +389,7 @@ def _child_codec(kind: type) -> _Codec:
 
 _CODECS = {
     "str": _Codec(str, _string, seed=lambda s: (s.encode(),)),
-    "int": _Codec(int, _integer, seed=lambda n: (str(n).encode(),)),
+    "int": _Codec(int, _count, seed=lambda n: (str(n).encode(),)),
     "float": _Codec(float, _number, seed=lambda x: (np.float64(x).tobytes(),)),
     "complex": _Codec(lambda c: [float(c.real), float(c.imag)], _complex,
                       seed=lambda c: (np.complex128(c).tobytes(),)),
@@ -524,11 +520,7 @@ def _iter_subtree(node):
 # ---------------------------------------------------------------------------
 
 OPT_TOL = 1e-3
-"""Accuracy a quantifier search aims at.
-
-A gain below a tenth of it does not count as progress when a search's budget
-runs out, and the plateau test of `unitary_detect` allows this much.
-"""
+"""Accuracy a quantifier search aims at; the plateau test of `unitary_detect` allows this much."""
 
 
 @dataclass(frozen=True)
@@ -538,10 +530,8 @@ class EvalConfig:
     rng_seed: int = 0xC5A1
 
     def __post_init__(self):
-        if self.multistart < 1:
-            raise ValueError("multistart must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _count(self.multistart, "multistart")
+        _count(self.max_iter, "max_iter")
 
 
 @dataclass
@@ -552,7 +542,8 @@ class SearchStats:
     are the points a search had already scored, answered without evaluating
     the body again.  polish_runs counts local searches, early_stops the
     searches of an inf that reached its static floor, budget_exhausted the
-    local searches cut by their budget.
+    local searches that ended at their evaluation cap (Powell's maxfev, the
+    search budget) rather than at their tolerances.
     """
 
     searches: int = 0
@@ -565,6 +556,12 @@ class SearchStats:
 
 @dataclass
 class EvalResult:
+    """Value, witnesses and search counters of one evaluation.
+
+    converged is True on every run: no search sets it.  Deriving it from the
+    counters in stats, such as budget_exhausted, is ROADMAP item 7.
+    """
+
     value: float
     witnesses: dict[str, np.ndarray] = field(default_factory=dict)
     converged: bool = True
@@ -576,15 +573,16 @@ class _EarlyStop(Exception):
     pass
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _VarFrame:
-    """Maps a real coordinate vector to a ball element of one structure."""
+    """Maps real coordinates to a ball element of one structure, bound to one name.
 
-    def __init__(self, ball, system: OperatorSystem):
+    cut is the slice of the coordinates of its quantifier that it reads.
+    """
+
+    def __init__(self, name: str, ball, system: OperatorSystem):
+        self.name = name
         self.system = system
+        self.cut: slice = None
         if isinstance(ball, Ball):
             self.kind = "span"
             self.ncoords = 2 * system.dim
@@ -641,19 +639,21 @@ class _VarFrame:
 class _Quantifier:
     """One compiled Sup/Inf: its ball frames, hints, compiled body and search budget.
 
-    hints holds one list of parts (frame index, coordinate slice, value) per
-    hint entry naming its variables; a value is charted coordinates, or a
-    callable of the outer variables charted at each search.  found holds the
-    witnesses of its latest search's best point: its own variables, then those
-    its inner quantifiers found there.
+    hints holds one list of parts (frame, value) per hint entry naming its
+    variables; a value is charted coordinates, or a callable of the outer
+    variables charted at each search.  found holds the witnesses of its latest
+    search's best point: its own variables, then those its inner quantifiers
+    found there.
     """
 
     def __init__(self, node, frames: list[_VarFrame]):
         self.node = node
         self.is_sup = isinstance(node, Sup)
-        self.names = [name for name, _ in node.bindings]
         self.frames = frames
-        self.offsets = _offsets(f.ncoords for f in frames)
+        offsets = _offsets(f.ncoords for f in frames)
+        for frame, lo, hi in zip(frames, offsets, offsets[1:]):
+            frame.cut = slice(lo, hi)
+        self.ncoords = offsets[-1]
         self.hints: list[list[tuple]] = []
         # fn(env) and its static lower bound, set once the body is compiled
         self.body: Callable = None
@@ -722,7 +722,11 @@ class _Evaluator:
         self.quantifiers: list[_Quantifier] = []
         self.top: list[_Quantifier] = []  # the quantifiers outside every other one
         self.root, _ = self._formula(self.sentence, {})
-        self.converged = True
+        bound = {f.name for q in self.quantifiers for f in q.frames}
+        for entry in self.hints:
+            for name in entry:
+                if name not in bound:
+                    raise ValueError(f"hint for {name!r}, which no quantifier binds")
         single_block = len(self.quantifiers) == 1
         for q in self.quantifiers:
             # nested quantifiers get drastically smaller search budgets: the
@@ -915,20 +919,19 @@ class _Evaluator:
                 f"alternation depth {depth} exceeds the supported cap {_MAX_ALTERNATION}"
             )
         frames = []
-        for _, ball in f.bindings:
+        for name, ball in f.bindings:
             system = self._system(ball.structure)
             if isinstance(ball, UnitaryBall) and not system.is_cstar:
                 raise ValueError(f"unitary quantification over {ball.structure!r} needs a "
                                  "product-closed structure")
-            frames.append(_VarFrame(ball, system))
+            frames.append(_VarFrame(name, ball, system))
         q = _Quantifier(f, frames)
         for entry in self.hints:
             parts = []
-            for idx, name in enumerate(q.names):
-                if name in entry:
-                    value = entry[name]
-                    parts.append((idx, slice(q.offsets[idx], q.offsets[idx + 1]),
-                                  value if callable(value) else frames[idx].coords_of(value)))
+            for frame in frames:
+                if frame.name in entry:
+                    value = entry[frame.name]
+                    parts.append((frame, value if callable(value) else frame.coords_of(value)))
             if parts:
                 q.hints.append(parts)
         self.quantifiers.append(q)
@@ -943,102 +946,76 @@ class _Evaluator:
         # any sampled start is even evaluated
         starts = []
         for parts in q.hints:
-            coords = np.zeros(q.offsets[-1])
-            for idx, cut, value in parts:
+            coords = np.zeros(q.ncoords)
+            for frame, value in parts:
                 if callable(value):
-                    value = q.frames[idx].coords_of(value(dict(env)))
-                coords[cut] = value
+                    value = frame.coords_of(value(dict(env)))
+                coords[frame.cut] = value
             starts.append(coords)
-        starts.append(np.zeros(q.offsets[-1]))
+        starts.append(np.zeros(q.ncoords))
         starts.extend(q.samples)
         return starts
 
-    def _bind(self, q: _Quantifier, coords, env):
-        out = dict(env)
-        for idx, name in enumerate(q.names):
-            out[name] = q.frames[idx].to_matrix(coords[q.offsets[idx]:q.offsets[idx + 1]])
-        return out
-
     def _quant(self, q: _Quantifier, env) -> float:
+        """One search: score every start, then polish the best with Powell.
+
+        Powell minimizes the signed value (the value for an inf, its negative
+        for a sup) and stops at its evaluation cap, q.budget.  An inf stops
+        at the first fresh point at or below its static floor.
+        """
         is_sup = q.is_sup
         sign = -1.0 if is_sup else 1.0
-        floor = q.floor
         stats = q.stats
         stats.searches += 1
-        best = {"value": -np.inf if is_sup else np.inf, "found": {}, "sig_at": 0}
-        evals = {"n": 0}
+        best = -np.inf if is_sup else np.inf
+        found: dict[str, np.ndarray] = {}
+        evals = 0
         # env is fixed for this search, so a point's value depends on its exact
         # coordinates alone; Powell re-scores its start and line-search points
         seen: dict[bytes, float] = {}
 
-        def raw(coords):
-            evals["n"] += 1
+        def raw(coords) -> float:
+            nonlocal best, found, evals
+            evals += 1
             key = coords.tobytes()
             value = seen.get(key)
             if value is not None:
                 # a repeat never strictly improves, so it needs no witnesses
                 stats.repeats += 1
-                return value
-            bound = self._bind(q, coords, env)
+                return sign * value
+            bound = dict(env)
+            for frame in q.frames:
+                bound[frame.name] = frame.to_matrix(coords[frame.cut])
             value = seen[key] = q.body(bound)
-            improved = value > best["value"] if is_sup else value < best["value"]
-            if improved:
-                if abs(value - best["value"]) > 0.1 * OPT_TOL:
-                    best["sig_at"] = evals["n"]
+            if value > best if is_sup else value < best:
                 # the inner searches just ran at this point
-                found = {name: bound[name] for name in q.names}
+                found = {frame.name: bound[frame.name] for frame in q.frames}
                 for inner in q.inner:
                     found.update(inner.found)
-                best["value"], best["found"] = value, found
-            return value
+                best = value
+                if not is_sup and value <= q.floor + 1e-11:
+                    raise _EarlyStop
+            return sign * value
 
         starts = self._starts_for(q, env)
-        start_values = []
-        for c in starts:
-            start_values.append(raw(c))
-            if (not is_sup) and best["value"] <= floor + 1e-11:
-                break
-        early = (not is_sup) and best["value"] <= floor + 1e-11
-        if not early:
-            order = sorted(
-                range(len(start_values)),
-                key=lambda i: (-start_values[i], i) if is_sup else (start_values[i], i),
-            )
-            budget = q.budget
-            for idx in order[:q.polish]:
-                stop_at = evals["n"] + budget
+        try:
+            signed = [raw(c) for c in starts]
+            # a stable sort: ties go to the earlier start
+            for idx in sorted(range(len(starts)), key=signed.__getitem__)[:q.polish]:
                 stats.polish_runs += 1
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = minimize(raw, starts[idx], method="Powell",
+                                   options={"maxfev": q.budget, "xtol": 1e-5, "ftol": 1e-8})
+                stats.budget_exhausted += res.nfev >= q.budget
+        except _EarlyStop:
+            stats.early_stops += 1
 
-                def objective(coords):
-                    if evals["n"] >= stop_at:
-                        raise _BudgetExhausted
-                    value = raw(coords)
-                    if (not is_sup) and value <= floor + 1e-11:
-                        raise _EarlyStop
-                    return sign * value
-
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        minimize(
-                            objective, starts[idx], method="Powell",
-                            options={"maxfev": budget, "xtol": 1e-5, "ftol": 1e-8},
-                        )
-                except _EarlyStop:
-                    early = True
-                    break
-                except _BudgetExhausted:
-                    stats.budget_exhausted += 1
-                    # only flag non-convergence when the cap bit mid-improvement
-                    if stop_at - best["sig_at"] < budget // 4:
-                        self.converged = False
-
-        stats.evaluations += evals["n"]
-        stats.early_stops += bool(early)
-        q.found = best["found"]
+        stats.evaluations += evals
+        q.found = found
         if self.probe is not None:
-            self.probe(q.node, dict(env), best["value"])
-        return best["value"]
+            self.probe(q.node, dict(env), best)
+        return best
 
     def run(self) -> EvalResult:
         value = self.root({})
@@ -1048,7 +1025,7 @@ class _Evaluator:
         kinds = {q.is_sup for q in self.quantifiers}
         bound_kind = ("exact" if not kinds else "heuristic" if len(kinds) == 2
                       else "lower-estimate" if True in kinds else "upper-estimate")
-        return EvalResult(value, witnesses, self.converged, bound_kind,
+        return EvalResult(value, witnesses, True, bound_kind,
                           [q.stats for q in self.quantifiers])
 
 
@@ -1063,8 +1040,10 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
     callables receive the environment of already-bound outer variables.  Hinted
     points are always among the optimizer starts.  A matrix is charted into its
     ball's coordinates once, while compiling; a callable's value is charted at
-    each search.  A hint that does not fit its ball (say, of the wrong size) is
-    an error: ValueError, raised for a matrix before the first body evaluation.
+    each search.  A hint that does not fit its ball (of the wrong size, or off
+    the unitary group for a unitary ball) is an error: ValueError, raised for a
+    matrix before the first body evaluation.  So is a hint for a name that no
+    quantifier binds.
 
     probe: optional callable probe(node, env, value), called with the result of
     every quantifier search.  Each search remembers the points it has scored,

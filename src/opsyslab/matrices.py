@@ -23,6 +23,7 @@ __all__ = [
     "block",
     "amplify",
     "exp_i_hermitian",
+    "unitary_defect",
     "unitary_log",
     "haar_unitary",
     "random_contraction",
@@ -35,7 +36,11 @@ __all__ = [
 
 
 EIG_TOL = 1e-10
-"""Absolute eigenvalue tolerance: the Hermitian and PSD checks allow this much error."""
+"""Absolute eigenvalue tolerance.
+
+The Hermitian and PSD checks allow this much error, and `unitary_log` this
+much unitary defect.
+"""
 
 
 class NotPsdError(ValueError):
@@ -128,9 +133,7 @@ def block(grid) -> np.ndarray:
 
 def amplify(m, n: int) -> np.ndarray:
     """Kronecker product M (x) I_n; preserves the operator norm."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"amplification count must be a positive integer, got {n!r}")
-    return np.kron(as_matrix(m), np.eye(int(n)))
+    return np.kron(as_matrix(m), np.eye(_count(n, "amplification count")))
 
 
 def exp_i_hermitian(h) -> np.ndarray:
@@ -140,15 +143,25 @@ def exp_i_hermitian(h) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def unitary_defect(u) -> float:
+    """max(||u*u - 1||, ||uu* - 1||); zero exactly at unitaries."""
+    a = as_matrix(u)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got {a.shape}")
+    eye = np.eye(a.shape[0])
+    return max(op_norm(a.conj().T @ a - eye), op_norm(a @ a.conj().T - eye))
+
+
 def unitary_log(u) -> np.ndarray:
     """Principal Hermitian generator H of a unitary u, with exp(iH) = u and ||H|| <= pi.
 
     Uses the complex Schur form, whose transform stays unitary even at
-    degenerate eigenvalues.
+    degenerate eigenvalues.  ValueError when unitary_defect(u) > EIG_TOL: off
+    the unitary group no H has exp(iH) = u.
     """
     a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
+    if unitary_defect(a) > EIG_TOL:
+        raise ValueError("matrix is not unitary within EIG_TOL")
     t, q = scipy.linalg.schur(a, output="complex")
     h = q @ np.diag(np.angle(np.diag(t))) @ q.conj().T
     return hermitian_part(h)
@@ -218,10 +231,11 @@ def _complex(value) -> complex:
     return complex(_number(re), _number(im))
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _count(value, name: str = "count") -> int:
+    """value as an int, checked to be a Python or numpy integer >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _string(value) -> str:
@@ -234,9 +248,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows, cols, data = _integer(obj["rows"]), _integer(obj["cols"]), obj["data"]
-        if rows < 1 or cols < 1:
-            raise ValueError("dimensions must be >= 1")
+        rows, cols, data = _count(obj["rows"], "rows"), _count(obj["cols"], "cols"), obj["data"]
         flat = [_complex(pair) for pair in _array(data, rows * cols)]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrices import _array, _integer, as_matrix, matrix_from_json, matrix_to_json, op_norm
+from .matrices import _array, _count, as_matrix, matrix_from_json, matrix_to_json, op_norm
 
 __all__ = [
     "OperatorSystem",
@@ -33,7 +33,6 @@ __all__ = [
     "dist_bracket",
     "dist_to_system",
     "is_product_closed",
-    "unitary_defect",
     "sample_ball",
     "system_to_json",
     "system_from_json",
@@ -156,9 +155,7 @@ def canonicalize(raw_basis, ambient_dim: int) -> OperatorSystem:
     Gram-Schmidt runs over [identity, g_1, g_1*, g_2, g_2*, ...] so generator
     directions survive verbatim whenever they are already orthogonal.
     """
-    d = int(ambient_dim)
-    if d < 1:
-        raise ValueError("ambient dimension must be >= 1")
+    d = _count(ambient_dim, "ambient dimension")
     gens: list[np.ndarray] = [np.eye(d, dtype=complex)]
     for g in raw_basis:
         a = as_matrix(g)
@@ -350,15 +347,6 @@ def is_product_closed(system: OperatorSystem) -> tuple[bool, float]:
     return defect <= 1e-9, defect
 
 
-def unitary_defect(u) -> float:
-    """max(||u*u - 1||, ||uu* - 1||); zero exactly at unitaries."""
-    a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    eye = np.eye(a.shape[0])
-    return max(op_norm(a.conj().T @ a - eye), op_norm(a @ a.conj().T - eye))
-
-
 def _draw_ball_coords(rng: np.random.Generator, system: OperatorSystem,
                       radius: float, count: int) -> np.ndarray:
     """Real coordinate rows (interleaved re/im) of in-ball span elements."""
@@ -398,7 +386,7 @@ def system_from_json(obj) -> OperatorSystem:
     if not isinstance(obj, dict):
         raise ValueError("operator-system JSON must be an object")
     try:
-        d = _integer(obj["ambient_dim"])
+        d = _count(obj["ambient_dim"], "ambient_dim")
         raw = [matrix_from_json(m) for m in _array(obj["basis"])]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed operator-system JSON: {exc}") from exc

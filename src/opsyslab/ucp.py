@@ -15,14 +15,14 @@ from functools import cached_property
 import numpy as np
 
 from .matrices import (
-    _integer,
+    _count,
     as_matrix,
     dist_to_psd,
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    unitary_defect,
 )
-from .systems import unitary_defect
 
 __all__ = [
     "UcpMap",
@@ -54,7 +54,9 @@ class UcpMap:
     choi: np.ndarray
 
     def __post_init__(self):
-        d, k = self.dom_dim, self.cod_dim
+        d, k = _count(self.dom_dim, "dom_dim"), _count(self.cod_dim, "cod_dim")
+        object.__setattr__(self, "dom_dim", d)
+        object.__setattr__(self, "cod_dim", k)
         a = as_matrix(self.choi)
         if a.shape != (d * k, d * k):
             raise ValueError(f"Choi matrix must be {d * k} x {d * k}, got {a.shape}")
@@ -270,10 +272,8 @@ def random_ucp(dom_dim: int, cod_dim: int, rng_seed: int) -> UcpMap:
     A Wishart Choi matrix is conjugated by the inverse square root of its
     block-trace marginal, which makes the map unital exactly.
     """
-    if dom_dim < 1 or cod_dim < 1:
-        raise ValueError("dimensions must be >= 1")
+    d, k = _count(dom_dim, "dom_dim"), _count(cod_dim, "cod_dim")
     rng = np.random.default_rng(rng_seed)
-    d, k = dom_dim, cod_dim
     n = d * k
     for _ in range(100):
         g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
@@ -300,8 +300,7 @@ def ucp_from_json(obj) -> UcpMap:
     if not isinstance(obj, dict):
         raise ValueError("u.c.p. map JSON must be an object")
     try:
-        return UcpMap(_integer(obj["dom_dim"]), _integer(obj["cod_dim"]),
-                      matrix_from_json(obj["choi"]))
+        return UcpMap(obj["dom_dim"], obj["cod_dim"], matrix_from_json(obj["choi"]))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed u.c.p. map JSON: {exc}") from exc
 

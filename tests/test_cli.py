@@ -105,6 +105,9 @@ def test_parse_error_exit_2(files, capsys):
     ("check-closure", {"ambient_dim": 2, "basis": {}}),
     ("pisier", {"dom_dim": 1.5, "cod_dim": True, "choi": {"rows": 1, "cols": 1,
                                                          "data": [[1, 0]]}}),
+    # dimensions are counts: (-1)(-1) matching the 1 x 1 Choi matrix does not make them valid
+    ("pisier", {"dom_dim": -1, "cod_dim": -1, "choi": {"rows": 1, "cols": 1,
+                                                       "data": [[1, 0]]}}),
 ])
 def test_malformed_input_exit_2(files, capsys, tmp_path, command, content):
     path = tmp_path / "malformed.json"
@@ -112,6 +115,23 @@ def test_malformed_input_exit_2(files, capsys, tmp_path, command, content):
     extra = {"eval": ["--structure", f"A={files['m2']}"], "check-closure": [files["m2"]]}
     code, _ = _run(capsys, [command, str(path), *extra.get(command, [])])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check-closure", "--multistart"),
+    ("check-closure", "--max-iter"),
+    ("detect-unitary", "--n-max"),
+    ("ucp-suite", "--samples"),
+    ("ucp-suite", "--max-dim"),
+    ("pisier", "--pairs"),
+])
+def test_count_flag_below_one_exit_2(files, capsys, command, flag):
+    inputs = {"check-closure": [files["diag2"], files["m2"]], "detect-unitary": [files["swap"]],
+              "pisier": [files["expectation"]]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs.get(command, []), flag, "0"])
+    assert exc.value.code == 2
+    assert "integer >= 1" in capsys.readouterr().err
 
 
 def test_precondition_error_exit_3(files, capsys):

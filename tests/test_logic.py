@@ -100,6 +100,15 @@ def test_search_stats():
     assert outer.repeats > 0 and inner.repeats > 0
 
 
+def test_budget_exhausted_counts_capped_local_searches():
+    # a budget of 2 evaluations ends both local searches at Powell's cap
+    f = Sup((("x", Ball("A", 1.0)),), NormSq(Var("x")))
+    r = evaluate(f, {"A": full_matrix_algebra(2)}, EvalConfig(multistart=1, max_iter=2, rng_seed=1))
+    assert r.stats[0].polish_runs == 2
+    assert r.stats[0].budget_exhausted == 2
+    assert r.converged
+
+
 def test_non_quantifier_root_searches_once():
     # witnesses come from the searches that find them: no search runs twice,
     # and the probe reports every search
@@ -262,6 +271,32 @@ def test_inf_stops_at_static_floor(body):
     r = evaluate(Inf((("x", Ball("A", 1.0)),), body), {"A": full_matrix_algebra(2)}, FAST)
     assert r.stats[0].early_stops == 1
     assert r.stats[0].evaluations == 1
+
+
+def test_inf_stops_at_floor_inside_local_search():
+    # the body reaches its floor 0 within 0.01 of 1/2; no start is that close,
+    # so the local search gets there and stops
+    f = Inf((("x", Ball("A", 1.0)),), DotMinus(Norm(Sum(Var("x"), Unit(-0.5))), Lit(0.01)))
+    r = evaluate(f, {"A": full_matrix_algebra(2)}, EvalConfig(multistart=4, max_iter=400,
+                                                             rng_seed=2))
+    assert r.value == 0.0
+    assert r.stats[0].early_stops == 1
+    assert r.stats[0].polish_runs == 1
+    assert r.stats[0].evaluations > 1 + 4  # more than the zero start and the samples
+
+
+@pytest.mark.parametrize("ball, hint, match", [
+    (UnitaryBall("A"), {"x": 0.5 * np.eye(2)}, "not unitary"),
+    (UnitaryBall("A"), {"x": lambda env: np.array([[0, 2], [0, 0]])}, "not unitary"),
+    (Ball("A", 1.0), {"xx": 0.5 * np.eye(2)}, "no quantifier binds"),
+], ids=["non-unitary-constant", "non-unitary-callable", "unknown-name"])
+def test_unusable_hint_rejected(ball, hint, match):
+    calls = []
+    f = Inf((("x", ball),), Norm(Sum(Var("x"), Unit(-0.5))))
+    with pytest.raises(ValueError, match=match):
+        evaluate(f, {"A": full_matrix_algebra(2)}, EvalConfig(multistart=4, max_iter=100),
+                 hints=[hint], probe=lambda node, env, value: calls.append(value))
+    assert calls == []
 
 
 def test_psd_dist_rejects_non_hermitian_value():

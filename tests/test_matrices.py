@@ -6,17 +6,27 @@ import numpy as np
 import pytest
 
 from opsyslab import (
+    Amp,
+    EvalConfig,
     NotPsdError,
+    UcpMap,
+    Var,
     amplify,
     block,
+    canonicalize,
     dist_to_psd,
+    exp_i_hermitian,
     haar_unitary,
+    is_hermitian,
     lambda_min,
     matrix_from_json,
     matrix_to_json,
     op_norm,
     psd_sqrt,
     random_contraction,
+    random_ucp,
+    unitary_detect,
+    unitary_log,
 )
 from opsyslab.matrices import EIG_TOL
 
@@ -126,6 +136,52 @@ def test_amplify():
     assert np.allclose(amplify(np.array([[2.0]]), 3), 2 * np.eye(3))
     with pytest.raises(ValueError):
         amplify(m, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UcpMap(-1, -1, [[1]]),  # (-1)(-1) matches the 1 x 1 Choi matrix
+    lambda: UcpMap(1.0, 1, [[1]]),
+    lambda: random_ucp(0, 1, 5),
+    lambda: Amp(Var("x"), 2.5),
+    lambda: Amp(Var("x"), True),
+    lambda: amplify(np.eye(2), True),
+    lambda: canonicalize([], 2.5),
+    lambda: canonicalize([], 0),
+    lambda: EvalConfig(multistart=2.5),
+    lambda: EvalConfig(max_iter=0),
+    lambda: unitary_detect(np.diag([1.0, 0.5]), 0),
+], ids=["ucp-negative", "ucp-float", "random-ucp", "amp-float", "amp-bool", "amplify-bool",
+        "canonicalize-float", "canonicalize-zero", "multistart-float", "max-iter-zero",
+        "detect-zero"])
+def test_counts_are_integers_at_least_one(build):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        build()
+
+
+def test_counts_accept_numpy_integers():
+    two = np.int64(2)
+    assert amplify(np.eye(1), two).shape == (2, 2)
+    assert type(Amp(Var("x"), two).copies) is int
+    assert canonicalize([], two).ambient_dim == 2
+
+
+def test_unitary_log_reconstructs():
+    rng = np.random.default_rng(41)
+    cases = [haar_unitary(rng, d) for d in (1, 2, 3, 4) for _ in range(5)]
+    cases += [np.eye(2), -np.eye(2), np.diag([1.0, 1.0, -1.0])]  # degenerate spectra
+    for u in cases:
+        h = unitary_log(u)
+        assert is_hermitian(h)
+        assert op_norm(h) <= np.pi + 1e-12
+        assert op_norm(exp_i_hermitian(h) - u) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0.5 * np.eye(2), [[0, 2], [0, 0]], np.ones((2, 3))],
+                         ids=["half-identity", "nilpotent", "non-square"])
+def test_unitary_log_rejects_non_unitary(m):
+    # off the unitary group no generator reproduces m
+    with pytest.raises(ValueError):
+        unitary_log(m)
 
 
 def test_amplify_norm_invariance():
