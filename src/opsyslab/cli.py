@@ -195,10 +195,21 @@ def _count_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed_flag(text: str) -> int:
+    """The --seed value: an integer >= 0, else argparse exits 2."""
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opsyslab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=EvalConfig.rng_seed)
+    common.add_argument("--seed", type=_seed_flag, default=EvalConfig.rng_seed)
     common.add_argument("--assert", dest="assert_threshold", type=float, default=None,
                         help="exit 1 when the result defect exceeds this threshold")
     common.add_argument("--out", type=str, default=None,

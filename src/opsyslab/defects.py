@@ -4,7 +4,9 @@ Every quantity here is a nonnegative defect: zero (within tolerance)
 certifies a property of the structure.  The quantified defects run through
 the sentence evaluator with analytic witnesses attached as optimizer
 starts, so whenever the property actually holds the reported value is a
-tight upper bound rather than a heuristic.
+tight upper bound rather than a heuristic.  Where a witness provably
+attains its quantifier's optimum (the closure sentence's innermost sup over
+b, at the completion witness) it is marked Exact and replaces that search.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .logic import (
     Const,
     DotMinus,
     EvalConfig,
+    Exact,
     Formula,
     Inf,
     Min,
@@ -101,6 +104,20 @@ def completion_witness(x, z) -> np.ndarray:
 
     b is the square root of ||xx*+zz*||.1 - xx* - zz*; the argument is PSD by
     construction and ||b||^2 <= ||xx*+zz*||.
+
+    This b attains sup_b closure_gap(x, y, z, b) for every y.  Write
+    Q = 1+yy*, W = xy*+z, S = 4+xx*+zz*, c = lambda_max(S) and P = bb*.  The
+    wide block's Gram matrix is [[Q, W*], [W, S+P]] and the row's is S+P, so
+    the gap is lambda_max([[Q, W*], [W, S+P]]) - lambda_max(S+P); it is never
+    negative, as a compression does not raise lambda_max.  With
+    L = lambda_max(S+P) we have S+P <= L.1, so by Loewner monotonicity
+    gap <= h(L) := lambda_max([[Q, W*], [W, L.1]]) - L.  h is nonincreasing:
+    raising L by t raises the lambda_max by at most t (Weyl).  As P >= 0,
+    L >= c, so gap <= h(c) for every b.  Equality holds at b = sqrt(c.1 - S),
+    which is this b: there S+P = c.1 and L = c.  It lies in B whenever B is a
+    C*-algebra containing x and z (a continuous function of xx*+zz*), and
+    ||b||^2 <= ||x||^2 + ||z||^2 <= 2 for x, z in A_1, so ||b|| <= sqrt(2) and b
+    lies in the closure sentence's ball B_2.
     """
     x, z = _common_square(x, z)
     s = x @ x.conj().T + z @ z.conj().T
@@ -133,8 +150,10 @@ def _closure_hints(A: OperatorSystem):
     """Witness starts for the closure sentence.
 
     The four outer pairs are the unit-norm basis directions whose product lies
-    farthest from the span; the z and b hints are the analytic constructions
-    (projected back into the quantifier domains).
+    farthest from the span.  The z hint is -xy* projected onto the span and
+    scaled into the unit ball.  The b hint is the completion witness, marked
+    Exact: it attains the sup over b (see completion_witness), so that search
+    scores it alone.
     """
     cands = [b / op_norm(b) for b in A.basis]
     scored = []
@@ -156,7 +175,7 @@ def _closure_hints(A: OperatorSystem):
         return completion_witness(env["x"], env["z"])
 
     hints.append({"z": z_hint})
-    hints.append({"b": b_hint})
+    hints.append({"b": Exact(b_hint)})
     return hints
 
 
@@ -165,10 +184,12 @@ def product_closure_defect(A: OperatorSystem, B: OperatorSystem,
                            probe=None) -> ClosureReport:
     """Evaluate the closure sentence for the subsystem A inside the algebra B.
 
-    Requires span(A) contained in span(B) and B product-closed.  The report's
-    bound_check records ||x y* + z|| at the winning witnesses; whenever the
-    defect is below 1 it stays under 4*sqrt(defect) up to the optimizer
-    tolerance because the completion witness is always among the inner starts.
+    Requires span(A) contained in span(B) and B product-closed.  The
+    innermost sup over b is answered exactly at the completion witness, so the
+    defect is that closed form at the reported x, y and z.  The report's
+    bound_check records w = ||x y* + z|| there, and it stays under
+    4*sqrt(defect) up to rounding: a test vector along W's top singular pair,
+    with Q >= 1, c <= 6 and w <= 2, bounds the closed form below by w^2/6.
     """
     if not B.contains_span_of(A):
         raise ValueError("span(A) must be contained in span(B)")

@@ -48,7 +48,7 @@ __all__ = [
     "Formula", "Norm", "NormSq", "SpanDist", "PsdDist", "AbsDiff", "DotMinus",
     "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf", "Pred",
     "Ball", "UnitaryBall",
-    "OPT_TOL", "EvalConfig", "EvalResult", "SearchStats", "evaluate",
+    "Exact", "OPT_TOL", "EvalConfig", "EvalResult", "SearchStats", "evaluate",
     "PredicateRegistry", "register_predicate", "DEFAULT_REGISTRY",
     "free_variables", "substitute", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
@@ -534,6 +534,19 @@ class EvalConfig:
         _count(self.max_iter, "max_iter")
 
 
+@dataclass(frozen=True, eq=False)
+class Exact:
+    """A hint value, matrix or callable, at which its quantifier attains its optimum.
+
+    A quantifier whose hint entry marks each of its variables Exact scores
+    that one point at each search and nothing else: no zero start, no samples,
+    no local search.  Its witnesses, probe calls and SearchStats are those of
+    a search with one start.
+    """
+
+    value: object
+
+
 @dataclass
 class SearchStats:
     """Deterministic counters of one quantifier, summed over its searches.
@@ -641,9 +654,10 @@ class _Quantifier:
 
     hints holds one list of parts (frame, value) per hint entry naming its
     variables; a value is charted coordinates, or a callable of the outer
-    variables charted at each search.  found holds the witnesses of its latest
-    search's best point: its own variables, then those its inner quantifiers
-    found there.
+    variables charted at each search.  exact is True when an Exact hint entry
+    attains the optimum; hints then holds that entry alone.  found holds the
+    witnesses of its latest search's best point: its own variables, then those
+    its inner quantifiers found there.
     """
 
     def __init__(self, node, frames: list[_VarFrame]):
@@ -655,6 +669,7 @@ class _Quantifier:
             frame.cut = slice(lo, hi)
         self.ncoords = offsets[-1]
         self.hints: list[list[tuple]] = []
+        self.exact = False
         # fn(env) and its static lower bound, set once the body is compiled
         self.body: Callable = None
         self.floor = 0.0
@@ -729,6 +744,8 @@ class _Evaluator:
                     raise ValueError(f"hint for {name!r}, which no quantifier binds")
         single_block = len(self.quantifiers) == 1
         for q in self.quantifiers:
+            if q.exact:
+                continue  # its one hinted point is its whole search
             # nested quantifiers get drastically smaller search budgets: the
             # analytic hints carry the accuracy, the samples the exploration
             if single_block:
@@ -926,13 +943,21 @@ class _Evaluator:
                                  "product-closed structure")
             frames.append(_VarFrame(name, ball, system))
         q = _Quantifier(f, frames)
+        names = [name for name, _ in f.bindings]
         for entry in self.hints:
+            named = [(frame, entry[frame.name]) for frame in frames if frame.name in entry]
+            marked = sum(isinstance(value, Exact) for _, value in named)
+            if marked and marked < len(frames):
+                raise ValueError(f"an exact hint must mark every variable of its quantifier {names}")
+            if marked and q.exact:
+                raise ValueError(f"two exact hint entries for the quantifier over {names}")
             parts = []
-            for frame in frames:
-                if frame.name in entry:
-                    value = entry[frame.name]
-                    parts.append((frame, value if callable(value) else frame.coords_of(value)))
-            if parts:
+            for frame, value in named:
+                value = value.value if marked else value
+                parts.append((frame, value if callable(value) else frame.coords_of(value)))
+            if marked:
+                q.exact, q.hints = True, [parts]
+            elif parts and not q.exact:
                 q.hints.append(parts)
         self.quantifiers.append(q)
         (outer.inner if outer else self.top).append(q)
@@ -952,8 +977,9 @@ class _Evaluator:
                     value = frame.coords_of(value(dict(env)))
                 coords[frame.cut] = value
             starts.append(coords)
-        starts.append(np.zeros(q.ncoords))
-        starts.extend(q.samples)
+        if not q.exact:
+            starts.append(np.zeros(q.ncoords))
+            starts.extend(q.samples)
         return starts
 
     def _quant(self, q: _Quantifier, env) -> float:
@@ -961,7 +987,8 @@ class _Evaluator:
 
         Powell minimizes the signed value (the value for an inf, its negative
         for a sup) and stops at its evaluation cap, q.budget.  An inf stops
-        at the first fresh point at or below its static floor.
+        at the first fresh point at or below its static floor.  An exact
+        quantifier's one start is its whole search.
         """
         is_sup = q.is_sup
         sign = -1.0 if is_sup else 1.0
@@ -1044,6 +1071,15 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
     the unitary group for a unitary ball) is an error: ValueError, raised for a
     matrix before the first body evaluation.  So is a hint for a name that no
     quantifier binds.
+
+    A hint value wrapped in Exact(value) says that the point attains its
+    quantifier's optimum: each search of that quantifier scores just the
+    hinted point, with no zero start, samples or local search.  An exact
+    entry must mark every variable of its quantifier, and a quantifier takes
+    at most one; either mistake is a ValueError raised before the first body
+    evaluation.  The caller vouches for the optimum: a sup scored at a wrong
+    exact point is still a lower estimate, and an inf an upper one, but only
+    as tight as that point.
 
     probe: optional callable probe(node, env, value), called with the result of
     every quantifier search.  Each search remembers the points it has scored,

@@ -134,6 +134,16 @@ def test_count_flag_below_one_exit_2(files, capsys, command, flag):
     assert "integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ucp-suite", "eval"])
+def test_negative_seed_exit_2(files, capsys, command):
+    # one seed type on every command: a search command would mask -1, ucp-suite's rng rejects it
+    inputs = {"eval": [files["sentence"], "--structure", f"A={files['m2']}"]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs.get(command, []), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "integer >= 0" in capsys.readouterr().err
+
+
 def test_precondition_error_exit_3(files, capsys):
     # span(M2) is not inside span(diag)
     code, _ = _run(capsys, ["check-closure", files["m2"], files["diag2"]])

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsyslab import (
     OPT_TOL,
     UNITARY_PLATEAU,
+    Const,
     EvalConfig,
+    Exact,
     block,
     canonicalize,
     closure_gap,
+    closure_sentence,
     completion_witness,
     diagonal_algebra,
     dist_to_psd,
@@ -22,6 +26,8 @@ from opsyslab import (
     product_distance,
     random_contraction,
     random_hermitian,
+    sample_ball,
+    substitute,
     unitarity_score,
     unitary_average_decompose,
     unitary_defect,
@@ -30,6 +36,7 @@ from opsyslab import (
     unitary_span_defect,
     walter_matrix,
 )
+from strategies import _direct_sum
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -72,6 +79,22 @@ def test_completion_witness_row_identity():
         assert abs(op_norm(row) ** 2 - target) <= 1e-8
 
 
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.sampled_from(["full", "sum"]), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_completion_witness_attains_the_sup_over_b(family, d, seed):
+    # B = M_d or a conjugated M_(d-1) + M_1; x, y, z in B's unit ball
+    rng = np.random.default_rng(seed)
+    B = full_matrix_algebra(d) if family == "full" else _direct_sum(rng, [d - 1, 1])
+    x, y, z = sample_ball(B, 1.0, seed, 3)
+    closed = closure_gap(x, y, z, completion_witness(x, z))
+    leaf = closure_sentence().body.body  # sup_{b in B_2} closure_gap(x, y, z, b)
+    sentence = substitute(leaf, {"x": Const(x), "y": Const(y), "z": Const(z)})
+    search = evaluate(sentence, {"B": B}, EvalConfig(32, 4000))
+    assert closed >= search.value - 1e-12
+    exact = evaluate(sentence, {"B": B}, hints=[{"b": Exact(completion_witness(x, z))}])
+    assert exact.value == pytest.approx(closed, abs=1e-12)
+
+
 # -- the triple-quantified closure sentence -----------------------------------
 
 def test_closure_defect_closed_structures():
@@ -87,8 +110,21 @@ def test_closure_defect_open_structure():
     assert r.defect >= 1 / 64 - OPT_TOL
     assert r.bound_check <= 4 * np.sqrt(r.defect) + OPT_TOL
     # the search trajectory is pinned bit for bit
-    assert r.defect == 0.06523350739674161
-    assert r.bound_check == 0.5326024998594803
+    assert r.defect == 0.06523350739673806
+    assert r.bound_check == 0.5326024998594782
+
+
+def test_closure_leaf_is_answered_at_the_completion_witness():
+    # the default call: each sup_b scores its exact hint alone
+    from opsyslab.defects import _closure_hints
+
+    system = canonicalize([E12], 2)
+    r = evaluate(closure_sentence(), {"A": system, "B": full_matrix_algebra(2)},
+                 hints=_closure_hints(system))
+    leaf = r.stats[-1]
+    assert leaf.searches == leaf.evaluations == 2179
+    assert leaf.polish_runs == leaf.repeats == leaf.budget_exhausted == 0
+    assert sum(s.budget_exhausted for s in r.stats) == 48
 
 
 def test_closure_requires_containment():

@@ -14,6 +14,7 @@ from opsyslab import (
     Const,
     DotMinus,
     EvalConfig,
+    Exact,
     Inf,
     Lit,
     Max,
@@ -42,6 +43,7 @@ from opsyslab import (
     four_unitary_sentence,
     free_variables,
     full_matrix_algebra,
+    op_norm,
     product_certificate_sentence,
     sample_ball,
     sentence_from_json,
@@ -297,6 +299,42 @@ def test_unusable_hint_rejected(ball, hint, match):
         evaluate(f, {"A": full_matrix_algebra(2)}, EvalConfig(multistart=4, max_iter=100),
                  hints=[hint], probe=lambda node, env, value: calls.append(value))
     assert calls == []
+
+
+PAIR = Sup((("x", Ball("A", 1.0)), ("y", Ball("A", 1.0))), Norm(Sum(Var("x"), Var("y"))))
+
+
+@pytest.mark.parametrize("hints, match", [
+    ([{"x": Exact(np.eye(2))}], "every variable of its quantifier"),
+    ([{"x": Exact(lambda env: np.eye(2)), "y": np.eye(2)}], "every variable of its quantifier"),
+    ([{"x": Exact(np.eye(2)), "y": Exact(np.eye(2))},
+      {"x": Exact(lambda env: np.eye(2)), "y": Exact(-np.eye(2))}], "two exact hint entries"),
+], ids=["unnamed", "unmarked", "twice"])
+def test_misused_exact_hint_rejected(hints, match):
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        evaluate(PAIR, {"A": full_matrix_algebra(2)}, FAST, hints=hints,
+                 probe=lambda node, env, value: calls.append(value))
+    assert calls == []
+
+
+def test_exact_quantifier_scores_one_point_per_search():
+    # sup_{||y|| <= 1} ||x + y|| = ||x|| + 1, attained at y = x / ||x||
+    def unit(env):
+        nrm = op_norm(env["x"])
+        return env["x"] / nrm if nrm > 0 else np.eye(2)
+
+    f = Sup((("x", Ball("A", 1.0)),), Sup((("y", Ball("A", 1.0)),), Norm(Sum(Var("x"), Var("y")))))
+    calls = []
+    r = evaluate(f, {"A": full_matrix_algebra(2)}, FAST, hints=[{"y": Exact(unit)}],
+                 probe=lambda node, env, value: calls.append(value))
+    outer, inner = r.stats
+    assert inner.searches == outer.evaluations - outer.repeats > 1
+    assert inner.evaluations == inner.searches
+    assert inner.polish_runs == 0 and inner.budget_exhausted == 0
+    assert len(calls) == sum(s.searches for s in r.stats)
+    assert r.value == pytest.approx(2.0, abs=1e-9)
+    assert op_norm(r.witnesses["x"] + r.witnesses["y"]) == r.value
 
 
 def test_psd_dist_rejects_non_hermitian_value():

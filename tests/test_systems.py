@@ -17,6 +17,7 @@ from opsyslab import (
     system_to_json,
     unitary_defect,
 )
+from strategies import _conjugated, _ginibre, _random_system
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -107,25 +108,6 @@ def test_product_closure_oracle():
     assert defect == pytest.approx(0.5, abs=1e-6)
     closed, defect = is_product_closed(diagonal_algebra(2))
     assert closed and defect <= 1e-9
-
-
-def _ginibre(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def _conjugated(rng, units):
-    """u units u* for a Haar unitary u: a conjugated copy of the algebra they span."""
-    q, r = np.linalg.qr(_ginibre(rng, len(units[0])))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    return canonicalize([u @ e @ u.conj().T for e in units], len(u))
-
-
-def _random_system(family, d, rng):
-    if family == "span":  # span{1, g, g*}
-        return canonicalize([_ginibre(rng, d)], d)
-    if family == "two":  # span{1, g, g*, h, h*}
-        return canonicalize([_ginibre(rng, d), _ginibre(rng, d)], d)
-    return _conjugated(rng, [np.diag(e) for e in np.eye(d)])  # diag_d
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
