@@ -42,12 +42,13 @@ from .logic import (
 )
 from .matrices import (
     _count,
+    _psd_root,
+    _require_contraction,
+    _square,
     amplify,
-    as_matrix,
     block,
     hermitian_part,
     op_norm,
-    psd_sqrt,
 )
 from .systems import OperatorSystem, dist_to_system, full_matrix_algebra
 
@@ -72,9 +73,9 @@ __all__ = [
 
 
 def _common_square(*mats) -> list[np.ndarray]:
-    out = [as_matrix(m) for m in mats]
+    out = [_square(m) for m in mats]
     shapes = {m.shape for m in out}
-    if len(shapes) != 1 or out[0].shape[0] != out[0].shape[1]:
+    if len(shapes) != 1:
         raise ValueError(f"expected equal square shapes, got {sorted(shapes)}")
     return out
 
@@ -121,7 +122,7 @@ def completion_witness(x, z) -> np.ndarray:
     """
     x, z = _common_square(x, z)
     s = x @ x.conj().T + z @ z.conj().T
-    return psd_sqrt(op_norm(s) * np.eye(x.shape[0]) - s)
+    return _psd_root(hermitian_part(op_norm(s) * np.eye(x.shape[0]) - s))
 
 
 def closure_sentence() -> Formula:
@@ -253,11 +254,7 @@ def unitarity_score(u, n: int = 1, config: EvalConfig | None = None) -> float:
     contractions (the minimal singular pair of u (x) 1_n is always among the
     starts, giving a value at most sigma_min(u)^2).
     """
-    a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if op_norm(a) > 1.0 + 1e-10:
-        raise ValueError("unitarity score needs a contraction")
+    a = _require_contraction(u, "unitarity score")
     amped = amplify(a, n)
     full = full_matrix_algebra(amped.shape[0])
     uu, _, vh = np.linalg.svd(amped)
@@ -319,11 +316,7 @@ def unitary_average_decompose(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     average of the two unitaries h +- i sqrt(1 - h^2), built here through the
     eigendecomposition so the outputs are unitary to machine precision.
     """
-    a = as_matrix(x)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if op_norm(a) > 1.0 + 1e-10:
-        raise ValueError("decomposition needs a contraction")
+    a = _require_contraction(x, "decomposition")
 
     def halves(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, vec = np.linalg.eigh(h)

@@ -49,7 +49,7 @@ __all__ = [
     "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf", "Pred",
     "Ball", "UnitaryBall",
     "Exact", "OPT_TOL", "EvalConfig", "EvalResult", "SearchStats", "evaluate",
-    "PredicateRegistry", "register_predicate", "DEFAULT_REGISTRY",
+    "PredicateRegistry",
     "free_variables", "substitute", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
 ]
@@ -328,14 +328,6 @@ class PredicateRegistry:
         if name not in self._defs:
             raise ValueError(f"unknown predicate {name!r}")
         return self._defs[name]
-
-
-DEFAULT_REGISTRY = PredicateRegistry()
-
-
-def register_predicate(name: str, params: Sequence[str], body: Formula,
-                       registry: PredicateRegistry | None = None) -> PredicateDef:
-    return (registry or DEFAULT_REGISTRY).register(name, params, body)
 
 
 # ---------------------------------------------------------------------------
@@ -1092,7 +1084,7 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
     """
     config = config or EvalConfig()
     ev = _Evaluator(sentence, structures, config, hints, probe,
-                    registry or DEFAULT_REGISTRY)
+                    registry or PredicateRegistry())
     return ev.run()
 
 

@@ -1,4 +1,8 @@
-"""Dense complex matrix calculus: norms, positivity, blocks, amplification."""
+"""Dense complex matrix calculus: norms, positivity, blocks, amplification.
+
+The matrix checks live here.  A public function checks its matrix arguments; a
+_-prefixed step takes complex 2-D arrays that its caller built and checked.
+"""
 
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a scalar or 2-D array, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must have at least one row and column, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # False when either part is not finite
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -65,10 +69,22 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def hermitian_part(m) -> np.ndarray:
+def _square(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"hermitian part needs a square matrix, got {a.shape}")
+        raise ValueError(f"expected a square matrix, got {a.shape}")
+    return a
+
+
+def _require_contraction(m, what: str) -> np.ndarray:
+    a = _square(m)
+    if op_norm(a) > 1.0 + 1e-10:
+        raise ValueError(f"{what} needs a contraction")
+    return a
+
+
+def hermitian_part(m) -> np.ndarray:
+    a = _square(m)
     return (a + a.conj().T) / 2
 
 
@@ -83,12 +99,10 @@ def is_hermitian(m) -> bool:
 
 
 def _require_hermitian(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
+    a = _square(m)
     if op_norm(a - a.conj().T) > EIG_TOL:
         raise ValueError("matrix is not Hermitian within EIG_TOL")
-    return (a + a.conj().T) / 2
+    return hermitian_part(a)
 
 
 def lambda_min(h) -> float:
@@ -104,7 +118,11 @@ def dist_to_psd(h) -> float:
 
 def psd_sqrt(h) -> np.ndarray:
     """PSD square root; eigenvalues in [-EIG_TOL, 0) are clamped to 0."""
-    a = _require_hermitian(h)
+    return _psd_root(_require_hermitian(h))
+
+
+def _psd_root(a: np.ndarray) -> np.ndarray:
+    """psd_sqrt of an exactly Hermitian array."""
     w, v = np.linalg.eigh(a)
     if w[0] < -EIG_TOL:
         raise NotPsdError(f"smallest eigenvalue {w[0]:.3e} is below -EIG_TOL")
@@ -145,9 +163,7 @@ def exp_i_hermitian(h) -> np.ndarray:
 
 def unitary_defect(u) -> float:
     """max(||u*u - 1||, ||uu* - 1||); zero exactly at unitaries."""
-    a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
+    a = _square(u)
     eye = np.eye(a.shape[0])
     return max(op_norm(a.conj().T @ a - eye), op_norm(a @ a.conj().T - eye))
 

@@ -23,7 +23,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrices import _array, _count, as_matrix, matrix_from_json, matrix_to_json, op_norm
+from .matrices import (_array, _count, as_matrix, hermitian_part, matrix_from_json,
+                       matrix_to_json, op_norm)
 
 __all__ = [
     "OperatorSystem",
@@ -108,11 +109,10 @@ class OperatorSystem:
         """Real-orthonormal basis of the Hermitian elements of the span (real dim = dim)."""
         cands = []
         for b in self.basis:
-            cands.append((b + b.conj().T) / 2)
+            cands.append(hermitian_part(b))
             cands.append((b - b.conj().T) / 2j)
         out: list[np.ndarray] = []
-        for g in cands:
-            v = g.astype(complex)
+        for v in cands:
             for _ in range(2):
                 for h in out:
                     v = v - np.vdot(h, v).real * h

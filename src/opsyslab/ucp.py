@@ -18,6 +18,7 @@ from .matrices import (
     _count,
     as_matrix,
     dist_to_psd,
+    hermitian_part,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -57,10 +58,9 @@ class UcpMap:
         d, k = _count(self.dom_dim, "dom_dim"), _count(self.cod_dim, "cod_dim")
         object.__setattr__(self, "dom_dim", d)
         object.__setattr__(self, "cod_dim", k)
-        a = as_matrix(self.choi)
+        a = as_matrix(self.choi).copy()
         if a.shape != (d * k, d * k):
             raise ValueError(f"Choi matrix must be {d * k} x {d * k}, got {a.shape}")
-        a = np.asarray(a, dtype=complex).copy()
         a.setflags(write=False)
         object.__setattr__(self, "choi", a)
 
@@ -73,7 +73,7 @@ class UcpMap:
     @cached_property
     def cp_defect(self) -> float:
         """Distance of the Choi matrix to the PSD cone; zero iff completely positive."""
-        h = (self.choi + self.choi.conj().T) / 2
+        h = hermitian_part(self.choi)
         skew = op_norm(self.choi - self.choi.conj().T)
         return max(skew, dist_to_psd(h))
 
@@ -153,7 +153,7 @@ def kadison_schwarz_defect(phi: UcpMap, x) -> float:
     phi.require_ucp()
     a = as_matrix(x)
     gap = apply_map(phi, a.conj().T @ a) - apply_map(phi, a).conj().T @ apply_map(phi, a)
-    gap = (gap + gap.conj().T) / 2
+    gap = hermitian_part(gap)
     return float(np.linalg.eigvalsh(gap)[0])
 
 
@@ -279,7 +279,7 @@ def random_ucp(dom_dim: int, cod_dim: int, rng_seed: int) -> UcpMap:
         g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
         w = g @ g.conj().T
         marginal = np.einsum("iaib->ab", w.reshape(d, k, d, k))
-        eigs, vec = np.linalg.eigh((marginal + marginal.conj().T) / 2)
+        eigs, vec = np.linalg.eigh(hermitian_part(marginal))
         if eigs[0] <= 1e-8 * eigs[-1]:
             continue
         root = (vec / np.sqrt(eigs)) @ vec.conj().T  # marginal^(-1/2), exactly Hermitian

@@ -18,12 +18,16 @@ from opsyslab import (
     diagonal_algebra,
     dist_to_psd,
     evaluate,
+    exp_i_hermitian,
     full_matrix_algebra,
     haar_unitary,
+    hermitian_part,
+    lambda_min,
     op_norm,
     product_certificate_sentence,
     product_closure_defect,
     product_distance,
+    psd_sqrt,
     random_contraction,
     random_hermitian,
     sample_ball,
@@ -32,6 +36,7 @@ from opsyslab import (
     unitary_average_decompose,
     unitary_defect,
     unitary_detect,
+    unitary_log,
     unitary_product_gap,
     unitary_span_defect,
     walter_matrix,
@@ -43,6 +48,35 @@ E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.conj().T
 
 FAST = EvalConfig(multistart=8, max_iter=400, rng_seed=5)
+
+
+# -- input checks ----------------------------------------------------------------
+
+WIDE = np.ones((2, 3))
+
+
+@pytest.mark.parametrize("fn, arg", [
+    (hermitian_part, WIDE),
+    (lambda_min, WIDE),
+    (dist_to_psd, WIDE),
+    (psd_sqrt, WIDE),
+    (unitary_defect, WIDE),
+    (unitary_log, WIDE),
+    (exp_i_hermitian, WIDE),
+    (unitarity_score, WIDE),
+    (unitary_average_decompose, WIDE),
+    (lambda m: closure_gap(m, m, m, m), WIDE),
+    (lambda m: walter_matrix(m, m, m), WIDE),
+    (unitarity_score, 2 * np.eye(2)),
+    (unitary_average_decompose, 2 * np.eye(2)),
+], ids=["hermitian_part", "lambda_min", "dist_to_psd", "psd_sqrt", "unitary_defect",
+        "unitary_log", "exp_i_hermitian", "unitarity_score", "unitary_average_decompose",
+        "closure_gap", "walter_matrix", "unitarity_score-expansion",
+        "unitary_average_decompose-expansion"])
+def test_matrix_arguments_are_checked(fn, arg):
+    # a 2x3 matrix is not square; 2.1 is not a contraction
+    with pytest.raises(ValueError):
+        fn(arg)
 
 
 # -- closure gap and completion witness --------------------------------------
@@ -93,6 +127,9 @@ def test_completion_witness_attains_the_sup_over_b(family, d, seed):
     assert closed >= search.value - 1e-12
     exact = evaluate(sentence, {"B": B}, hints=[{"b": Exact(completion_witness(x, z))}])
     assert exact.value == pytest.approx(closed, abs=1e-12)
+    # the witness skips psd_sqrt's Hermitian check and still gives its bits
+    s = x @ x.conj().T + z @ z.conj().T
+    assert np.array_equal(completion_witness(x, z), psd_sqrt(op_norm(s) * np.eye(d) - s))
 
 
 # -- the triple-quantified closure sentence -----------------------------------

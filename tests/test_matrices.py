@@ -45,6 +45,10 @@ def test_op_norm_rejects_nonfinite():
         op_norm([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         op_norm([[np.inf, 0], [0, 1]])
+    # a complex entry is non-finite when either part is
+    for bad in (complex(0, np.inf), complex(0, np.nan), complex(np.nan, 0)):
+        with pytest.raises(ValueError):
+            op_norm([[bad, 0], [0, 1]])
 
 
 def test_cstar_identity_property():
