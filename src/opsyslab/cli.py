@@ -25,6 +25,7 @@ from .defects import (
 from .logic import OPT_TOL, EvalConfig, evaluate, sentence_from_json
 from .matrices import (
     _count,
+    _number,
     lambda_min,
     matrix_from_json,
     matrix_to_json,
@@ -206,11 +207,19 @@ def _seed_flag(text: str) -> int:
     return seed
 
 
+def _threshold_flag(text: str) -> float:
+    """The --assert value: a finite number, else argparse exits 2."""
+    try:
+        return _number(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opsyslab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed_flag, default=EvalConfig.rng_seed)
-    common.add_argument("--assert", dest="assert_threshold", type=float, default=None,
+    common.add_argument("--assert", dest="assert_threshold", type=_threshold_flag, default=None,
                         help="exit 1 when the result defect exceeds this threshold")
     common.add_argument("--out", type=str, default=None,
                         help="also write the report to this path")

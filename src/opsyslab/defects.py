@@ -276,20 +276,18 @@ def unitary_detect(u, n_max: int = 2, config: EvalConfig | None = None) -> bool:
 # Positivity certificate for products of unitaries
 # ---------------------------------------------------------------------------
 
-def walter_matrix(u, v, x, hermitian: bool = True) -> np.ndarray:
+def walter_matrix(u, v, x) -> np.ndarray:
     """3x3 block certificate [[1,u,x],[u*,1,v],[x*,v*,1]].
 
     For unitaries u, v the matrix is PSD exactly when x = uv (it is then the
-    rank-one square w w* with w = (1, u*, (uv)*)^T).  With hermitian=False the
-    (3,2) block is u* instead of v*, which is not Hermitian unless u = v.
+    rank-one square w w* with w = (1, u*, (uv)*)^T).
     """
     u, v, x = _common_square(u, v, x)
     one = np.eye(u.shape[0])
-    low = v.conj().T if hermitian else u.conj().T
     return block([
         [one, u, x],
         [u.conj().T, one, v],
-        [x.conj().T, low, one],
+        [x.conj().T, v.conj().T, one],
     ])
 
 

@@ -163,7 +163,7 @@ class Ball:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not _finite(self.radius) > 0:
+        if not _number(self.radius) > 0:
             raise ValueError("ball radius must be positive")
 
 
@@ -206,33 +206,29 @@ class PsdDist(Formula):
 
 
 @dataclass(frozen=True, eq=False)
-class AbsDiff(Formula):
+class _Connective(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class DotMinus(Formula):
-    left: Formula
-    right: Formula
+class AbsDiff(_Connective):
+    """|left - right|."""
 
 
-@dataclass(frozen=True, eq=False)
-class Max(Formula):
-    left: Formula
-    right: Formula
+class DotMinus(_Connective):
+    """max(0, left - right)."""
 
 
-@dataclass(frozen=True, eq=False)
-class Min(Formula):
-    left: Formula
-    right: Formula
+class Max(_Connective):
+    """max(left, right)."""
 
 
-@dataclass(frozen=True, eq=False)
-class Plus(Formula):
-    left: Formula
-    right: Formula
+class Min(_Connective):
+    """min(left, right)."""
+
+
+class Plus(_Connective):
+    """left + right."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +237,7 @@ class Times(Formula):
     arg: Formula
 
     def __post_init__(self):
-        if _finite(self.coeff) < 0:
+        if _number(self.coeff) < 0:
             raise ValueError("formula scaling must be nonnegative")
 
 
@@ -250,38 +246,33 @@ class Lit(Formula):
     value: float
 
     def __post_init__(self):
-        _finite(self.value)
-
-
-def _norm_bindings(bindings):
-    out = tuple((str(name), ball) for name, ball in bindings)
-    if not out:
-        raise ValueError("quantifier needs at least one bound variable")
-    names = [name for name, _ in out]
-    if len(set(names)) != len(names):
-        raise ValueError("quantifier binds a variable name twice")
-    for _, ball in out:
-        if not isinstance(ball, (Ball, UnitaryBall)):
-            raise ValueError(f"expected a ball specification, got {ball!r}")
-    return out
+        _number(self.value)
 
 
 @dataclass(frozen=True, eq=False)
-class Sup(Formula):
+class _Quantified(Formula):
     bindings: tuple[tuple[str, Ball | UnitaryBall], ...]
     body: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "bindings", _norm_bindings(self.bindings))
+        out = tuple((str(name), ball) for name, ball in self.bindings)
+        if not out:
+            raise ValueError("quantifier needs at least one bound variable")
+        names = [name for name, _ in out]
+        if len(set(names)) != len(names):
+            raise ValueError("quantifier binds a variable name twice")
+        for _, ball in out:
+            if not isinstance(ball, (Ball, UnitaryBall)):
+                raise ValueError(f"expected a ball specification, got {ball!r}")
+        object.__setattr__(self, "bindings", out)
 
 
-@dataclass(frozen=True, eq=False)
-class Inf(Formula):
-    bindings: tuple[tuple[str, Ball | UnitaryBall], ...]
-    body: Formula
+class Sup(_Quantified):
+    """Supremum of the body over the bound balls; searched, so a lower estimate."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "bindings", _norm_bindings(self.bindings))
+
+class Inf(_Quantified):
+    """Infimum of the body over the bound balls; searched, so an upper estimate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +426,7 @@ def _rebuild(node, children):
 def free_variables(node) -> set[str]:
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, (Sup, Inf)):
+    if isinstance(node, _Quantified):
         bound = {name for name, _ in node.bindings}
         return free_variables(node.body) - bound
     out: set[str] = set()
@@ -448,7 +439,7 @@ def substitute(node, mapping: Mapping[str, Term]):
     """Capture-avoiding substitution of terms for free variables."""
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, (Sup, Inf)):
+    if isinstance(node, _Quantified):
         bound = {name for name, _ in node.bindings}
         live = {k: v for k, v in mapping.items() if k not in bound}
         if not live:
@@ -499,12 +490,6 @@ def _structure_bytes(node) -> bytes:
 
 def _structure_seed(node) -> int:
     return zlib.crc32(_structure_bytes(node))
-
-
-def _iter_subtree(node):
-    yield node
-    for child in _children(node):
-        yield from _iter_subtree(child)
 
 
 # ---------------------------------------------------------------------------
@@ -581,59 +566,49 @@ class _EarlyStop(Exception):
 class _VarFrame:
     """Maps real coordinates to a ball element of one structure, bound to one name.
 
-    cut is the slice of the coordinates of its quantifier that it reads.
+    A Ball's coordinates are the real and imaginary parts, interleaved, of a
+    span element; a UnitaryBall's are the real coordinates of a generator H
+    over the Hermitian basis, and its element is exp(iH).  Either way the
+    combination is clamped to the operator-norm radius (pi for H).  cut is the
+    slice of the coordinates of its quantifier that it reads.
     """
 
     def __init__(self, name: str, ball, system: OperatorSystem):
         self.name = name
         self.system = system
         self.cut: slice = None
-        if isinstance(ball, Ball):
-            self.kind = "span"
-            self.ncoords = 2 * system.dim
+        self.unitary = isinstance(ball, UnitaryBall)
+        if self.unitary:
+            self.radius = float(np.pi)
+            self._stack = system.hermitian_basis
+            self.ncoords = len(self._stack)
+        else:
             self.radius = ball.radius
             self._stack = system._stack
-            self._hstack = None
-        else:
-            self.kind = "unitary"
-            self.ncoords = len(system.hermitian_basis)
-            self.radius = float(np.pi)
-            self._stack = None
-            self._hstack = np.stack(system.hermitian_basis)
+            self.ncoords = 2 * system.dim
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        if self.kind == "span":
-            c = coords[0::2] + 1j * coords[1::2]
-            a = _combine(c, self._stack)
-            nrm = _spec_norm(a)
-            if nrm > self.radius:
-                a *= self.radius / nrm
-            return a
-        h = _combine(coords, self._hstack)
-        nrm = _spec_norm(h)
+        if not self.unitary:
+            coords = coords[0::2] + 1j * coords[1::2]
+        a = _combine(coords, self._stack)
+        nrm = _spec_norm(a)
         if nrm > self.radius:
-            h *= self.radius / nrm
-        return exp_i_hermitian(h)
+            a *= self.radius / nrm
+        return exp_i_hermitian(a) if self.unitary else a
 
     def coords_of(self, matrix) -> np.ndarray:
-        if self.kind == "span":
-            c = self.system.coords(matrix)
-            out = np.empty(self.ncoords)
-            out[0::2] = c.real
-            out[1::2] = c.imag
-            return out
+        if not self.unitary:
+            return self.system.coords(matrix).view(float)  # interleaved re/im
         h = unitary_log(self.system._check_ambient(matrix))
-        return np.einsum("kij,ij->k", self._hstack.conj(), h).real
+        return np.einsum("kij,ij->k", self._stack.conj(), h).real
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.kind == "span":
+        if not self.unitary:
             return _draw_ball_coords(rng, self.system, self.radius, count)
-        k = self.ncoords
-        out = np.empty((count, k))
+        out = np.empty((count, self.ncoords))
         for i in range(count):
-            c = rng.standard_normal(k)
-            h = _combine(c, self._hstack)
-            nrm = _spec_norm(h)
+            c = rng.standard_normal(self.ncoords)
+            nrm = _spec_norm(_combine(c, self._stack))
             target = rng.uniform(0.0, np.pi)
             if nrm > 0:
                 c *= target / nrm
@@ -872,7 +847,7 @@ class _Evaluator:
         inf.  outer is the innermost enclosing quantifier and depth its
         alternation depth, for the alternation cap.
         """
-        if isinstance(f, (Sup, Inf)):
+        if isinstance(f, _Quantified):
             return self._quantifier(f, scope, outer, depth)
         if type(f) in _CONNECTIVES:
             op, floor = _CONNECTIVES[type(f)]
@@ -901,6 +876,9 @@ class _Evaluator:
             return norm_sq, 0.0
         system = self._system(f.structure)
         if isinstance(f, SpanDist):
+            d = system.ambient_dim
+            if shape != (d, d):
+                raise ValueError(f"span distance needs a {d} x {d} matrix, got {shape}")
             return (lambda env: dist_to_system(arg(env), system)), 0.0
         return self._psd_dist(shape, arg, system), 0.0
 
@@ -1113,16 +1091,12 @@ def _from_json(obj, kind: type):
     return cls(*[codec.decode(value) for (_, codec), value in zip(spec, values)])
 
 
-def _decode(obj, kind: type):
-    try:
-        return _from_json(obj, kind)
-    except ValueError as exc:
-        raise ValueError(f"malformed sentence JSON: {exc}") from exc
-
-
 def sentence_to_json(f: Formula):
     return _to_json(f, Formula)
 
 
 def sentence_from_json(obj) -> Formula:
-    return _decode(obj, Formula)
+    try:
+        return _from_json(obj, Formula)
+    except ValueError as exc:
+        raise ValueError(f"malformed sentence JSON: {exc}") from exc

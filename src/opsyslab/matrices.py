@@ -7,7 +7,6 @@ _-prefixed step takes complex 2-D arrays that its caller built and checked.
 from __future__ import annotations
 
 import cmath
-import json
 import numbers
 
 import numpy as np
@@ -34,8 +33,6 @@ __all__ = [
     "random_hermitian",
     "matrix_to_json",
     "matrix_from_json",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -183,6 +180,11 @@ def unitary_log(u) -> np.ndarray:
     return hermitian_part(h)
 
 
+def _matrix_units(d: int) -> np.ndarray:
+    """The d*d matrix units E_ij of M_d, stacked in row-major order of (i, j)."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre matrix with phase fix)."""
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
@@ -236,6 +238,9 @@ def _array(value, length: int | None = None) -> list:
 
 
 def _number(value) -> float:
+    """value as a float, checked to be a finite real number."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a finite real number, got {value!r}")
     try:
         return float(_finite(value))
     except OverflowError:
@@ -269,13 +274,3 @@ def matrix_from_json(obj) -> np.ndarray:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     return as_matrix(np.array(flat, dtype=complex).reshape(rows, cols))
-
-
-def save_matrix(path, m) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(m), fh)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))

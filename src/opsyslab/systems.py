@@ -23,8 +23,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrices import (_array, _count, as_matrix, hermitian_part, matrix_from_json,
-                       matrix_to_json, op_norm)
+from .matrices import (_array, _count, _matrix_units, as_matrix, hermitian_part,
+                       matrix_from_json, matrix_to_json, op_norm)
 
 __all__ = [
     "OperatorSystem",
@@ -38,7 +38,6 @@ __all__ = [
     "system_to_json",
     "system_from_json",
     "save_system",
-    "load_system",
 ]
 
 _INDEPENDENCE_RTOL = 1e-8
@@ -105,8 +104,11 @@ class OperatorSystem:
         return all(self.membership_residual(b) <= 1e-8 for b in other.basis)
 
     @cached_property
-    def hermitian_basis(self) -> tuple[np.ndarray, ...]:
-        """Real-orthonormal basis of the Hermitian elements of the span (real dim = dim)."""
+    def hermitian_basis(self) -> np.ndarray:
+        """Read-only stack of a real-orthonormal basis of the span's Hermitian elements.
+
+        Its length, the real dimension of the Hermitian part, equals dim.
+        """
         cands = []
         for b in self.basis:
             cands.append(hermitian_part(b))
@@ -119,7 +121,9 @@ class OperatorSystem:
             nrm = np.linalg.norm(v)
             if nrm > 1e-8:
                 out.append(v / nrm)
-        return tuple(m.copy() for m in out)
+        stack = np.stack(out)
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def is_cstar(self) -> bool:
@@ -183,23 +187,12 @@ def canonicalize(raw_basis, ambient_dim: int) -> OperatorSystem:
 @lru_cache(maxsize=None)
 def full_matrix_algebra(d: int) -> OperatorSystem:
     """The full algebra M_d (matrix units are already HS-orthonormal)."""
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return canonicalize(units, d)
+    return canonicalize(_matrix_units(d), d)
 
 
 @lru_cache(maxsize=None)
 def diagonal_algebra(d: int) -> OperatorSystem:
-    diags = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        diags.append(e)
-    return canonicalize(diags, d)
+    return canonicalize(_matrix_units(d)[::d + 1], d)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +389,3 @@ def system_from_json(obj) -> OperatorSystem:
 def save_system(path, system: OperatorSystem) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(system_to_json(system), fh)
-
-
-def load_system(path) -> OperatorSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_json(json.load(fh))

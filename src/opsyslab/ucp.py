@@ -16,6 +16,7 @@ import numpy as np
 
 from .matrices import (
     _count,
+    _matrix_units,
     as_matrix,
     dist_to_psd,
     hermitian_part,
@@ -40,7 +41,6 @@ __all__ = [
     "ucp_to_json",
     "ucp_from_json",
     "save_ucp",
-    "load_ucp",
 ]
 
 _UCP_TOL = 1e-6  # largest cp_defect and unital_defect a u.c.p. map may have
@@ -106,11 +106,9 @@ class UcpMap:
         """Build the Choi matrix by applying fn to every matrix unit."""
         d, k = dom_dim, cod_dim
         choi = np.zeros((d * k, d * k), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                choi[i * k:(i + 1) * k, j * k:(j + 1) * k] = as_matrix(fn(e))
+        for n, e in enumerate(_matrix_units(d)):
+            i, j = divmod(n, d)
+            choi[i * k:(i + 1) * k, j * k:(j + 1) * k] = as_matrix(fn(e))
         return cls(d, k, choi)
 
     @classmethod
@@ -308,8 +306,3 @@ def ucp_from_json(obj) -> UcpMap:
 def save_ucp(path, phi: UcpMap) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ucp_to_json(phi), fh)
-
-
-def load_ucp(path) -> UcpMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ucp_from_json(json.load(fh))

@@ -144,6 +144,14 @@ def test_negative_seed_exit_2(files, capsys, command):
     assert "integer >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_non_finite_assert_exit_2(capsys, threshold):
+    with pytest.raises(SystemExit) as exc:
+        main(["ucp-suite", "--samples", "1", "--assert", threshold])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_precondition_error_exit_3(files, capsys):
     # span(M2) is not inside span(diag)
     code, _ = _run(capsys, ["check-closure", files["m2"], files["diag2"]])

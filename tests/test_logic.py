@@ -51,7 +51,7 @@ from opsyslab import (
     substitute,
 )
 from opsyslab.defects import unitarity_score_formula
-from opsyslab.logic import _iter_subtree, _spec_norm, _structure_seed
+from opsyslab.logic import _children, _spec_norm, _structure_seed
 from opsyslab.systems import _combine
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -235,7 +235,9 @@ def test_dimension_mismatch_rejected():
     Norm(Prod(Var("x"), Const(np.eye(3)))),
     Norm(Block(((Var("x"), Unit(1)), (Unit(0), Const(np.ones((1, 1))))))),  # 1 in a 2x1 slot
     PsdDist(Block(((Var("x"), Unit(0)), (Unit(0), Const(np.ones((1, 1)))))), "A"),  # 3x3 in M_2
-], ids=["block-row", "sum", "prod", "unit-slot", "psd-size"])
+    SpanDist(Const(np.eye(3)), "A"),  # 3x3 against a span in M_2
+    Norm(Sum(Unit(1), Const(np.ones((2, 3))))),  # 1 in a 2x3 slot
+], ids=["block-row", "sum", "prod", "unit-slot", "psd-size", "span-size", "unit-sum"])
 def test_shape_errors_precede_search(body):
     # the hint callable runs with the first start, so no call means no body evaluation
     calls = []
@@ -351,10 +353,34 @@ def test_psd_dist_rejects_non_hermitian_value():
     lambda: Ball("A", float("inf")),
     lambda: Unit(complex(float("nan"), 0.0)),
     lambda: Scale(complex(0.0, float("inf")), Var("x")),
-], ids=["lit-nan", "lit-inf", "times", "ball", "unit", "scale"])
+    lambda: Lit(1j),
+    lambda: Ball("A", 1j),
+    lambda: Times(1j, Lit(1.0)),
+], ids=["lit-nan", "lit-inf", "times", "ball", "unit", "scale",
+        "lit-complex", "ball-complex", "times-complex"])
 def test_non_finite_numbers_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+X = np.array([[1, 2j], [0.5, -1]])
+WIDE = np.arange(6.0).reshape(2, 3)
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("formula, expected", [
+    (Norm(Unit(1j)), 1.0),
+    (Norm(Adj(Unit(1j))), 1.0),
+    (Norm(Scale(2, Unit(1j))), 2.0),
+    (Norm(Amp(Unit(3), 2)), 3.0),
+    (Norm(Sum(Unit(1), Unit(1j))), abs(1 + 1j)),
+    (Norm(Sum(Unit(2), Const(X))), np.linalg.norm(2 * I2 + X, 2)),
+    (Norm(Prod(Unit(2), Const(X))), np.linalg.norm(2 * I2 @ X, 2)),
+    (Norm(Prod(Const(X), Unit(2))), np.linalg.norm(X @ (2 * I2), 2)),
+    (Norm(Sum(Unit(0), Const(WIDE))), np.linalg.norm(WIDE, 2)),
+], ids=["unit", "adj", "scale", "amp", "unit-sum", "sum", "prod-left", "prod-right", "wide-sum"])
+def test_identity_multiple_terms(formula, expected):
+    assert evaluate(formula, {"A": full_matrix_algebra(2)}, FAST).value == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 8), (4, 8), (8, 8), (12, 12)])
@@ -420,6 +446,11 @@ def test_substitute_and_free_variables():
     assert free_variables(closed) == set()
     r = evaluate(closed, {}, FAST)
     assert r.value == pytest.approx(2.0)
+    # substituting x for u under a binder of x renames the bound x
+    inner = Inf((("x", Ball("A", 1.0)),), Norm(Sum(Var("x"), Scale(-1.0, Var("u")))))
+    renamed = substitute(inner, {"u": Var("x")})
+    assert [name for name, _ in renamed.bindings] == ["x'"]
+    assert free_variables(renamed) == {"x"}
 
 
 def _every_tag_sentence():
@@ -432,6 +463,12 @@ def _every_tag_sentence():
     )
     return Sup((("x", Ball("A", 2.0)), ("y", UnitaryBall("B"))),
                Inf((("z", Ball("B")),), body))
+
+
+def _iter_subtree(node):
+    yield node
+    for child in _children(node):
+        yield from _iter_subtree(child)
 
 
 def _quantifier_seeds(sentence):
