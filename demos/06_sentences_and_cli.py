@@ -21,9 +21,9 @@ from opsyslab import (
     diagonal_algebra,
     evaluate,
     full_matrix_algebra,
-    save_system,
     sentence_from_json,
     sentence_to_json,
+    system_to_json,
 )
 
 # the largest squared norm available inside the unit ball of a structure
@@ -41,8 +41,8 @@ print(result.witnesses["x"].round(4))
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
-    save_system(tmp / "diag2.json", diagonal_algebra(2))
-    save_system(tmp / "m2.json", full_matrix_algebra(2))
+    for name, system in [("diag2", diagonal_algebra(2)), ("m2", full_matrix_algebra(2))]:
+        (tmp / f"{name}.json").write_text(json.dumps(system_to_json(system)), "utf-8")
     with open(tmp / "sentence.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 

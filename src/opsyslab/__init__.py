@@ -5,112 +5,10 @@ sentences evaluated by nested seeded optimization, structure-detection
 defects paired with exact oracles, and u.c.p. maps through Choi matrices.
 """
 
-from .matrices import (
-    NotPsdError,
-    adjoint,
-    amplify,
-    as_matrix,
-    block,
-    dist_to_psd,
-    exp_i_hermitian,
-    haar_unitary,
-    hermitian_part,
-    is_hermitian,
-    lambda_min,
-    matrix_from_json,
-    matrix_to_json,
-    op_norm,
-    psd_sqrt,
-    random_contraction,
-    random_hermitian,
-    unitary_defect,
-    unitary_log,
-)
-from .systems import (
-    OperatorSystem,
-    canonicalize,
-    diagonal_algebra,
-    dist_bracket,
-    dist_to_system,
-    full_matrix_algebra,
-    is_product_closed,
-    sample_ball,
-    save_system,
-    system_from_json,
-    system_to_json,
-)
-from .logic import (
-    AbsDiff,
-    Adj,
-    Amp,
-    Ball,
-    Block,
-    Const,
-    DotMinus,
-    EvalConfig,
-    EvalResult,
-    Exact,
-    Inf,
-    Lit,
-    Max,
-    Min,
-    NestingDepthError,
-    Norm,
-    NormSq,
-    OPT_TOL,
-    Plus,
-    Pred,
-    PredicateRegistry,
-    Prod,
-    PsdDist,
-    Scale,
-    SearchStats,
-    SpanDist,
-    Sum,
-    Sup,
-    Times,
-    Unit,
-    UnitaryBall,
-    Var,
-    evaluate,
-    free_variables,
-    sentence_from_json,
-    sentence_to_json,
-    substitute,
-)
-from .defects import (
-    UNITARY_PLATEAU,
-    ClosureReport,
-    closure_gap,
-    closure_sentence,
-    completion_witness,
-    four_unitary_sentence,
-    product_certificate_sentence,
-    product_closure_defect,
-    product_distance,
-    unitarity_score,
-    unitarity_score_formula,
-    unitary_average_decompose,
-    unitary_detect,
-    unitary_product_gap,
-    unitary_span_defect,
-    walter_matrix,
-)
-from .ucp import (
-    IsometryReport,
-    PisierReport,
-    UcpMap,
-    apply_map,
-    clock_shift_unitaries,
-    cs_inequality_residual,
-    isometry_check,
-    kadison_schwarz_defect,
-    mult_domain_defect,
-    pisier_check,
-    random_ucp,
-    save_ucp,
-    ucp_from_json,
-    ucp_to_json,
-)
+from .matrices import *  # each module's __all__ is the package's export list
+from .systems import *
+from .logic import *
+from .defects import *
+from .ucp import *
 
 __version__ = "0.1.0"

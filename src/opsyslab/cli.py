@@ -1,9 +1,9 @@
 """Batch command line front end: load JSON inputs, run one operation, emit a report.
 
 Exit codes: 0 success, 1 defect above the --assert threshold, 2 input parse
-failure, 3 operation precondition failure.  All randomness flows from --seed,
-and the report's "result" section is byte-identical across reruns with the
-same inputs and flags.
+failure or an --out path that cannot be written, 3 operation precondition
+failure.  All randomness flows from --seed, and the report's "result" section
+is byte-identical across reruns with the same inputs and flags.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _load(path, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _ParseFailure(f"cannot parse {path}: {exc}") from exc
 
 
@@ -188,31 +188,19 @@ def _cmd_pisier(args):
     return result, [args.map]
 
 
-def _count_flag(text: str) -> int:
-    """A count flag's value: an integer >= 1, else argparse exits 2."""
-    try:
-        return _count(int(text), "a count")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag(parse):
+    """An argparse type that runs parse on the flag's text; its ValueError exits 2."""
+    def flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag
 
 
-def _seed_flag(text: str) -> int:
-    """The --seed value: an integer >= 0, else argparse exits 2."""
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {seed}")
-    return seed
-
-
-def _threshold_flag(text: str) -> float:
-    """The --assert value: a finite number, else argparse exits 2."""
-    try:
-        return _number(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_count_flag = _flag(lambda text: _count(int(text), "a count"))  # an integer >= 1
+_seed_flag = _flag(lambda text: _count(int(text), "seed", least=0))  # an integer >= 0
+_threshold_flag = _flag(lambda text: _number(float(text)))  # a finite number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,8 +287,12 @@ def main(argv=None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     if args.assert_threshold is not None and result["defect"] > args.assert_threshold:
         return 1
     return 0

@@ -33,7 +33,6 @@ from .matrices import (
     _finite,
     _number,
     _string,
-    amplify as _amplify,
     as_matrix,
     dist_to_psd,
     exp_i_hermitian,
@@ -509,6 +508,7 @@ class EvalConfig:
     def __post_init__(self):
         _count(self.multistart, "multistart")
         _count(self.max_iter, "max_iter")
+        _count(self.rng_seed, "rng_seed", least=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,7 +604,7 @@ class _VarFrame:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if not self.unitary:
-            return _draw_ball_coords(rng, self.system, self.radius, count)
+            return _draw_ball_coords(rng, self.system, self.radius, count).view(float)
         out = np.empty((count, self.ncoords))
         for i in range(count):
             c = rng.standard_normal(self.ncoords)
@@ -723,7 +723,7 @@ class _Evaluator:
             else:
                 nstarts = max(6, config.multistart // 2)
                 q.budget, q.polish = max(32, config.max_iter // 50), 1
-            rng = np.random.default_rng([config.rng_seed & 0xFFFFFFFF, _structure_seed(q.node)])
+            rng = np.random.default_rng([config.rng_seed, _structure_seed(q.node)])
             q.samples = np.hstack([f.sample(rng, nstarts) for f in q.frames])
 
     def _system(self, name: str) -> OperatorSystem:
@@ -762,7 +762,8 @@ class _Evaluator:
             if shape is None:
                 return None, fn
             n = t.copies
-            return (shape[0] * n, shape[1] * n), lambda env: _amplify(fn(env), n)
+            eye = np.eye(n)
+            return (shape[0] * n, shape[1] * n), lambda env: np.kron(fn(env), eye)
         if isinstance(t, Sum):
             return self._sum(t, scope)
         if isinstance(t, Prod):

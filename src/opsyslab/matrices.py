@@ -203,11 +203,12 @@ def random_contraction(rng: np.random.Generator, d: int, radius: float = 1.0) ->
     return g
 
 
-def random_hermitian(rng: np.random.Generator, d: int, norm: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Random d x d Hermitian matrix of operator norm 1 (0 only if the draw is 0)."""
     h = hermitian_part((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
     nrm = op_norm(h)
     if nrm > 0:
-        h *= norm / nrm
+        h *= 1.0 / nrm
     return h
 
 
@@ -252,10 +253,10 @@ def _complex(value) -> complex:
     return complex(_number(re), _number(im))
 
 
-def _count(value, name: str = "count") -> int:
-    """value as an int, checked to be a Python or numpy integer >= 1 and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _count(value, name: str = "count", least: int = 1) -> int:
+    """value as an int, checked to be a Python or numpy integer >= least and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -17,7 +17,6 @@ apart.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,7 +36,6 @@ __all__ = [
     "sample_ball",
     "system_to_json",
     "system_from_json",
-    "save_system",
 ]
 
 _INDEPENDENCE_RTOL = 1e-8
@@ -342,17 +340,16 @@ def is_product_closed(system: OperatorSystem) -> tuple[bool, float]:
 
 def _draw_ball_coords(rng: np.random.Generator, system: OperatorSystem,
                       radius: float, count: int) -> np.ndarray:
-    """Real coordinate rows (interleaved re/im) of in-ball span elements."""
+    """(count, dim) complex coordinate rows of in-ball span elements."""
     k = system.dim
-    out = np.empty((count, 2 * k))
+    out = np.empty((count, k), dtype=complex)
     for i in range(count):
         c = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
         a = system.from_coords(c)
         nrm = op_norm(a)
         if nrm > radius:
             c *= radius / nrm
-        out[i, 0::2] = c.real
-        out[i, 1::2] = c.imag
+        out[i] = c
     return out
 
 
@@ -364,8 +361,7 @@ def sample_ball(system: OperatorSystem, radius: float, rng_seed: int,
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    coords = _draw_ball_coords(rng, system, radius, count)
-    return [system.from_coords(row[0::2] + 1j * row[1::2]) for row in coords]
+    return [system.from_coords(c) for c in _draw_ball_coords(rng, system, radius, count)]
 
 
 def system_to_json(system: OperatorSystem) -> dict:
@@ -385,7 +381,3 @@ def system_from_json(obj) -> OperatorSystem:
         raise ValueError(f"malformed operator-system JSON: {exc}") from exc
     return canonicalize(raw, d)
 
-
-def save_system(path, system: OperatorSystem) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(system), fh)

@@ -8,7 +8,6 @@ properties are certified by plain eigenvalue computations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +39,6 @@ __all__ = [
     "clock_shift_unitaries",
     "ucp_to_json",
     "ucp_from_json",
-    "save_ucp",
 ]
 
 _UCP_TOL = 1e-6  # largest cp_defect and unital_defect a u.c.p. map may have
@@ -108,7 +106,10 @@ class UcpMap:
         choi = np.zeros((d * k, d * k), dtype=complex)
         for n, e in enumerate(_matrix_units(d)):
             i, j = divmod(n, d)
-            choi[i * k:(i + 1) * k, j * k:(j + 1) * k] = as_matrix(fn(e))
+            image = as_matrix(fn(e))
+            if image.shape != (k, k):
+                raise ValueError(f"expected a {k} x {k} image, got {image.shape}")
+            choi[i * k:(i + 1) * k, j * k:(j + 1) * k] = image
         return cls(d, k, choi)
 
     @classmethod
@@ -127,9 +128,9 @@ class UcpMap:
         return cls.from_function(lambda x: np.diag(np.diag(x)), d, d)
 
     @classmethod
-    def direct_sum_embedding(cls, d: int, copies: int = 2) -> "UcpMap":
-        """x -> diag(x, ..., x), a *-homomorphism into M_{copies*d}."""
-        return cls.from_function(lambda x: np.kron(np.eye(copies), x), d, copies * d)
+    def direct_sum_embedding(cls, d: int) -> "UcpMap":
+        """x -> diag(x, x), a *-homomorphism into M_{2d}."""
+        return cls.from_function(lambda x: np.kron(np.eye(2), x), d, 2 * d)
 
     @classmethod
     def transpose_map(cls, d: int) -> "UcpMap":
@@ -146,23 +147,30 @@ def apply_map(phi: UcpMap, x) -> np.ndarray:
     return np.einsum("ij,iajb->ab", a, phi._blocks)
 
 
+def _schwarz_gap(phi: UcpMap, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """phi(y*x) - phi(y)* phi(x)."""
+    return apply_map(phi, y.conj().T @ x) - apply_map(phi, y).conj().T @ apply_map(phi, x)
+
+
+def _hom_gap(phi: UcpMap, x: np.ndarray, y: np.ndarray) -> float:
+    """||phi(xy) - phi(x) phi(y)||."""
+    return op_norm(apply_map(phi, x @ y) - apply_map(phi, x) @ apply_map(phi, y))
+
+
 def kadison_schwarz_defect(phi: UcpMap, x) -> float:
     """lambda_min(phi(x*x) - phi(x)* phi(x)); nonnegative for u.c.p. maps."""
     phi.require_ucp()
     a = as_matrix(x)
-    gap = apply_map(phi, a.conj().T @ a) - apply_map(phi, a).conj().T @ apply_map(phi, a)
-    gap = hermitian_part(gap)
-    return float(np.linalg.eigvalsh(gap)[0])
+    return float(np.linalg.eigvalsh(hermitian_part(_schwarz_gap(phi, a, a)))[0])
 
 
 def cs_inequality_residual(phi: UcpMap, x, y) -> float:
     """RHS - LHS of ||phi(y*x)-phi(y)*phi(x)|| <= prod of Schwarz-gap square roots."""
     phi.require_ucp()
     x, y = as_matrix(x), as_matrix(y)
-    px, py = apply_map(phi, x), apply_map(phi, y)
-    lhs = op_norm(apply_map(phi, y.conj().T @ x) - py.conj().T @ px)
-    gx = op_norm(apply_map(phi, x.conj().T @ x) - px.conj().T @ px)
-    gy = op_norm(apply_map(phi, y.conj().T @ y) - py.conj().T @ py)
+    lhs = op_norm(_schwarz_gap(phi, x, y))
+    gx = op_norm(_schwarz_gap(phi, x, x))
+    gy = op_norm(_schwarz_gap(phi, y, y))
     return float(np.sqrt(gx) * np.sqrt(gy) - lhs)
 
 
@@ -201,8 +209,7 @@ def pisier_check(phi: UcpMap, trial_unitaries, trial_pairs) -> PisierReport:
         preservation = max(preservation, unitary_defect(apply_map(phi, u)))
     hom = 0.0
     for x, y in trial_pairs:
-        x, y = as_matrix(x), as_matrix(y)
-        hom = max(hom, op_norm(apply_map(phi, x @ y) - apply_map(phi, x) @ apply_map(phi, y)))
+        hom = max(hom, _hom_gap(phi, as_matrix(x), as_matrix(y)))
     return PisierReport(unitary_preservation_defect=preservation, hom_defect=hom)
 
 
@@ -232,7 +239,7 @@ def isometry_check(phi: UcpMap, trial_set) -> IsometryReport:
     iso = max((abs(op_norm(apply_map(phi, t)) - op_norm(t)) for t in trials), default=0.0)
     hom = 0.0
     for x, y in zip(trials, trials[1:]):
-        hom = max(hom, op_norm(apply_map(phi, x @ y) - apply_map(phi, x) @ apply_map(phi, y)))
+        hom = max(hom, _hom_gap(phi, x, y))
 
     d = phi.dom_dim
     preimage = 0.0
@@ -301,8 +308,3 @@ def ucp_from_json(obj) -> UcpMap:
         return UcpMap(obj["dom_dim"], obj["cod_dim"], matrix_from_json(obj["choi"]))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed u.c.p. map JSON: {exc}") from exc
-
-
-def save_ucp(path, phi: UcpMap) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ucp_to_json(phi), fh)

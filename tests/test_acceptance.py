@@ -212,16 +212,17 @@ def test_criterion_8_ucp_inequalities():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    from opsyslab import matrix_to_json, save_system, save_ucp, sentence_to_json
+    from opsyslab import matrix_to_json, sentence_to_json, system_to_json, ucp_to_json
     from opsyslab.logic import Ball, DotMinus, Lit, Norm, Sup, Var
 
-    save_system(tmp_path / "diag2.json", diagonal_algebra(2))
-    save_system(tmp_path / "m2.json", full_matrix_algebra(2))
+    for name, system in [("diag2", diagonal_algebra(2)), ("m2", full_matrix_algebra(2))]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(system_to_json(system)), "utf-8")
     with open(tmp_path / "halfdiag.json", "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(np.diag([1.0, 0.5])), fh)
     with open(tmp_path / "one.json", "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(np.eye(2)), fh)
-    save_ucp(tmp_path / "expectation.json", UcpMap.diagonal_expectation(2))
+    (tmp_path / "expectation.json").write_text(
+        json.dumps(ucp_to_json(UcpMap.diagonal_expectation(2))), "utf-8")
     sentence = Sup((("x", Ball("A", 1.0)),), DotMinus(Norm(Var("x")), Lit(1.0)))
     with open(tmp_path / "sentence.json", "w", encoding="utf-8") as fh:
         json.dump(sentence_to_json(sentence), fh)

@@ -14,9 +14,9 @@ from opsyslab import (
     diagonal_algebra,
     full_matrix_algebra,
     matrix_to_json,
-    save_system,
-    save_ucp,
     sentence_to_json,
+    system_to_json,
+    ucp_to_json,
 )
 from opsyslab.cli import main
 from opsyslab.logic import Ball, DotMinus, Lit, Norm, Sup, Var
@@ -27,9 +27,12 @@ E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    save_system(tmp_path / "m2.json", full_matrix_algebra(2))
-    save_system(tmp_path / "diag2.json", diagonal_algebra(2))
-    save_system(tmp_path / "open3.json", canonicalize([E12], 2))
+    for name, system in [
+        ("m2", full_matrix_algebra(2)),
+        ("diag2", diagonal_algebra(2)),
+        ("open3", canonicalize([E12], 2)),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(system_to_json(system)), "utf-8")
     for name, mat in [
         ("swap", np.array([[0, 1], [1, 0]])),
         ("halfdiag", np.diag([1.0, 0.5])),
@@ -38,7 +41,8 @@ def files(tmp_path):
     ]:
         with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
             json.dump(matrix_to_json(mat), fh)
-    save_ucp(tmp_path / "expectation.json", UcpMap.diagonal_expectation(2))
+    (tmp_path / "expectation.json").write_text(
+        json.dumps(ucp_to_json(UcpMap.diagonal_expectation(2))), "utf-8")
     sentence = Sup((("x", Ball("A", 1.0)),), DotMinus(Norm(Var("x")), Lit(1.0)))
     with open(tmp_path / "sentence.json", "w", encoding="utf-8") as fh:
         json.dump(sentence_to_json(sentence), fh)
@@ -150,6 +154,22 @@ def test_non_finite_assert_exit_2(capsys, threshold):
         main(["ucp-suite", "--samples", "1", "--assert", threshold])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_2(files, capsys, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["decompose", files["halfdiag"], "--assert", "10", "--out", str(out)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [600, 5000])  # the evaluator's reader, then json.load
+def test_deeply_nested_input_exit_2(files, capsys, tmp_path, depth):
+    path = tmp_path / "deep.json"
+    term = '["adj", ' * depth + '["var", "x"]' + "]" * depth
+    path.write_text(f'["sup", [["x", "A", 1.0]], ["norm", {term}]]')
+    assert main(["eval", str(path), "--structure", f"A={files['m2']}"]) == 2
+    assert "cannot parse" in capsys.readouterr().err
 
 
 def test_precondition_error_exit_3(files, capsys):

@@ -405,6 +405,19 @@ def test_span_map_is_bitwise_tensordot():
                     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        EvalConfig(rng_seed=seed)
+
+
+def test_seeds_apart_by_2_pow_32_search_different_points():
+    f = Sup((("x", Ball("A", 1.0)),), Norm(Var("x")))
+    values = [evaluate(f, {"A": full_matrix_algebra(2)}, EvalConfig(1, 1, seed)).value
+              for seed in (5, 2 ** 32 + 5)]
+    assert values[0] != values[1]
+
+
 def test_product_gating():
     open_system = canonicalize([E12], 2)  # not product-closed
     f = Sup((("x", Ball("A", 1.0)),), Norm(Prod(Var("x"), Var("x"))))

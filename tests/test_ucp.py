@@ -180,6 +180,14 @@ def test_random_ucp_contract():
     assert np.allclose(scalar.choi, 1.0)
 
 
+def test_from_function_rejects_wrong_image_shape():
+    # a 1 x 1 image would broadcast over each 2 x 2 Choi block
+    with pytest.raises(ValueError, match="expected a 2 x 2 image"):
+        UcpMap.from_function(lambda x: np.trace(x), 2, 2)
+    with pytest.raises(ValueError, match="expected a 3 x 3 image"):
+        UcpMap.from_function(lambda x: x, 2, 3)
+
+
 def test_choi_round_trip():
     phi = random_ucp(2, 3, 31)
     back = ucp_from_json(ucp_to_json(phi))
