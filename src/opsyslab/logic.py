@@ -24,7 +24,6 @@ from operator import add, itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .matrices import (
     _array,
@@ -52,6 +51,19 @@ __all__ = [
     "free_variables", "substitute", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
 ]
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, with scipy imported at the first local search.
+
+    Importing scipy.optimize costs more than the rest of the package, and only
+    the quantifier search needs it.  The search calls this module attribute, so
+    a caller may replace it to observe each Powell run (perfbench/tracer.py
+    does).
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 class NestingDepthError(ValueError):
@@ -549,7 +561,8 @@ class EvalResult:
     """Value, witnesses and search counters of one evaluation.
 
     converged is True on every run: no search sets it.  Deriving it from the
-    counters in stats, such as budget_exhausted, is ROADMAP item 7.
+    counters in stats, such as budget_exhausted, is open observability work
+    (see ROADMAP).
     """
 
     value: float

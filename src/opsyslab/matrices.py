@@ -10,7 +10,6 @@ import cmath
 import numbers
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "EIG_TOL",
@@ -172,10 +171,12 @@ def unitary_log(u) -> np.ndarray:
     degenerate eigenvalues.  ValueError when unitary_defect(u) > EIG_TOL: off
     the unitary group no H has exp(iH) = u.
     """
+    from scipy.linalg import schur  # loaded here: the other kernels need numpy only
+
     a = as_matrix(u)
     if unitary_defect(a) > EIG_TOL:
         raise ValueError("matrix is not unitary within EIG_TOL")
-    t, q = scipy.linalg.schur(a, output="complex")
+    t, q = schur(a, output="complex")
     h = q @ np.diag(np.angle(np.diag(t))) @ q.conj().T
     return hermitian_part(h)
 

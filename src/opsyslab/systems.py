@@ -358,9 +358,8 @@ def sample_ball(system: OperatorSystem, radius: float, rng_seed: int,
     """Deterministic-in-seed span elements with operator norm <= radius."""
     if not radius > 0:
         raise ValueError(f"ball radius must be positive, got {radius!r}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(rng_seed)
+    count = _count(count, "count", least=0)
+    rng = np.random.default_rng(_count(rng_seed, "rng_seed", least=0))
     return [system.from_coords(c) for c in _draw_ball_coords(rng, system, radius, count)]
 
 

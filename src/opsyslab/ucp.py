@@ -278,7 +278,7 @@ def random_ucp(dom_dim: int, cod_dim: int, rng_seed: int) -> UcpMap:
     block-trace marginal, which makes the map unital exactly.
     """
     d, k = _count(dom_dim, "dom_dim"), _count(cod_dim, "cod_dim")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_count(rng_seed, "rng_seed", least=0))
     n = d * k
     for _ in range(100):
         g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)

@@ -140,7 +140,7 @@ def test_count_flag_below_one_exit_2(files, capsys, command, flag):
 
 @pytest.mark.parametrize("command", ["ucp-suite", "eval"])
 def test_negative_seed_exit_2(files, capsys, command):
-    # one seed type on every command: a search command would mask -1, ucp-suite's rng rejects it
+    # one seed type on every command: the flag rejects -1 before any command runs
     inputs = {"eval": [files["sentence"], "--structure", f"A={files['m2']}"]}
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs.get(command, []), "--seed", "-1"])
@@ -250,3 +250,38 @@ def test_subprocess_determinism(files):
     r1 = json.dumps(json.loads(first.stdout)["result"], sort_keys=True)
     r2 = json.dumps(json.loads(second.stdout)["result"], sort_keys=True)
     assert r1 == r2
+
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import opsyslab
+from opsyslab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_non_search_commands_load_no_scipy(files):
+    # a fresh interpreter: scipy loads at the first Powell search or unitary-ball chart only
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    commands = [
+        ["walter", files["swap"], files["minus_one"], files["halfdiag"]],
+        ["decompose", files["halfdiag"]],
+        ["ucp-suite", "--samples", "2", "--max-dim", "2"],
+        ["pisier", files["expectation"], "--pairs", "2"],
+    ]
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(run.stdout)
+    assert loaded == {name: [] for name in ("import", "walter", "decompose", "ucp-suite", "pisier")}

@@ -182,6 +182,13 @@ def test_ball_spec_validation():
         sample_ball(canonicalize([], 2), 0.0, 42, 1)
 
 
+@pytest.mark.parametrize("seed, count", [(True, 1), (1.5, 1), (42, 1.5)])
+def test_sample_ball_rejects_non_integer_seed_and_count(seed, count):
+    # the seed and count rules of EvalConfig: an integer, not a bool
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        sample_ball(canonicalize([E12], 2), 1.0, seed, count)
+
+
 def test_system_json_round_trip():
     s = canonicalize([E12], 2)
     back = system_from_json(system_to_json(s))

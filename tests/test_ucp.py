@@ -180,6 +180,12 @@ def test_random_ucp_contract():
     assert np.allclose(scalar.choi, 1.0)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+def test_random_ucp_rejects_non_count_seed(seed):
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        random_ucp(2, 2, seed)
+
+
 def test_from_function_rejects_wrong_image_shape():
     # a 1 x 1 image would broadcast over each 2 x 2 Choi block
     with pytest.raises(ValueError, match="expected a 2 x 2 image"):
