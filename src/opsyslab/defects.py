@@ -35,6 +35,7 @@ from .logic import (
     Scale,
     Sum,
     Sup,
+    Term,
     Unit,
     UnitaryBall,
     Var,
@@ -55,6 +56,7 @@ from .systems import OperatorSystem, dist_to_system, full_matrix_algebra
 __all__ = [
     "closure_gap",
     "completion_witness",
+    "multiplication_predicate",
     "ClosureReport",
     "closure_sentence",
     "product_closure_defect",
@@ -125,14 +127,25 @@ def completion_witness(x, z) -> np.ndarray:
     return _psd_root(hermitian_part(op_norm(s) * np.eye(x.shape[0]) - s))
 
 
+def multiplication_predicate(x: Term, y: Term, z: Term) -> Formula:
+    """sup_{b in B_2} closure_gap(x, y, z, b): the paper's definable predicate.
+
+    In the language of operator systems it defines multiplication: for x and
+    z in a C*-algebra B it vanishes exactly when z = -xy*.  The sup is then
+    attained at b = completion_witness(x, z); the proof is there.  The
+    predicate binds b, so a free b in x, y or z would be captured.
+    """
+    body = AbsDiff(
+        NormSq(Block(((Unit(0), y, Unit(1), Unit(0)),
+                      (Unit(2), x, z, Var("b"))))),
+        NormSq(Block(((Unit(2), x, z, Var("b")),))),
+    )
+    return Sup((("b", Ball("B", 2.0)),), body)
+
+
 def closure_sentence() -> Formula:
     """sup_{x,y in A_1} inf_{z in A_1} sup_{b in B_2} closure_gap(x, y, z, b)."""
-    body = AbsDiff(
-        NormSq(Block(((Unit(0), Var("y"), Unit(1), Unit(0)),
-                      (Unit(2), Var("x"), Var("z"), Var("b"))))),
-        NormSq(Block(((Unit(2), Var("x"), Var("z"), Var("b")),))),
-    )
-    inner = Sup((("b", Ball("B", 2.0)),), body)
+    inner = multiplication_predicate(Var("x"), Var("y"), Var("z"))
     mid = Inf((("z", Ball("A", 1.0)),), inner)
     return Sup((("x", Ball("A", 1.0)), ("y", Ball("A", 1.0))), mid)
 

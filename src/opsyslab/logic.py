@@ -44,11 +44,10 @@ from .systems import OperatorSystem, _combine, _draw_ball_coords, dist_to_system
 __all__ = [
     "Term", "Var", "Const", "Unit", "Adj", "Scale", "Sum", "Block", "Amp", "Prod",
     "Formula", "Norm", "NormSq", "SpanDist", "PsdDist", "AbsDiff", "DotMinus",
-    "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf", "Pred",
+    "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf",
     "Ball", "UnitaryBall",
     "Exact", "OPT_TOL", "EvalConfig", "EvalResult", "SearchStats", "evaluate",
-    "PredicateRegistry",
-    "free_variables", "substitute", "NestingDepthError",
+    "free_variables", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
 ]
 
@@ -286,52 +285,6 @@ class Inf(_Quantified):
     """Infimum of the body over the bound balls; searched, so an upper estimate."""
 
 
-@dataclass(frozen=True, eq=False)
-class Pred(Formula):
-    """Call of a registered predicate; expands to its body at evaluation."""
-
-    name: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(_as_term(a) for a in self.args))
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PredicateDef:
-    name: str
-    params: tuple
-    body: Formula
-
-
-class PredicateRegistry:
-    def __init__(self):
-        self._defs: dict[str, PredicateDef] = {}
-
-    def register(self, name: str, params: Sequence[str], body: Formula) -> PredicateDef:
-        if name in self._defs:
-            raise ValueError(f"predicate {name!r} is already registered")
-        params = tuple(str(p) for p in params)
-        free = free_variables(body)
-        if free != set(params):
-            raise ValueError(
-                f"predicate body free variables {sorted(free)} do not match "
-                f"parameters {sorted(params)}"
-            )
-        handle = PredicateDef(name, params, body)
-        self._defs[name] = handle
-        return handle
-
-    def get(self, name: str) -> PredicateDef:
-        if name not in self._defs:
-            raise ValueError(f"unknown predicate {name!r}")
-        return self._defs[name]
-
-
 # ---------------------------------------------------------------------------
 # Field table and traversal
 # ---------------------------------------------------------------------------
@@ -347,7 +300,6 @@ class _Codec:
     decode: Callable
     seed: Callable = lambda value: ()             # parameter bytes of the search seed
     children: Callable = lambda value: ()         # child nodes, in order
-    rebuild: Callable = lambda value, it: value   # the value with children drawn from it
 
 
 def _bindings_to_json(bindings) -> list:
@@ -378,7 +330,7 @@ def _bindings_seed(bindings):
 
 def _child_codec(kind: type) -> _Codec:
     return _Codec(lambda node: _to_json(node, kind), lambda value: _from_json(value, kind),
-                  children=lambda node: (node,), rebuild=lambda node, it: next(it))
+                  children=lambda node: (node,))
 
 
 _CODECS = {
@@ -394,15 +346,10 @@ _CODECS = {
         _bindings_to_json, _bindings_from_json, seed=_bindings_seed),
     "Term": _child_codec(Term),
     "Formula": _child_codec(Formula),
-    "tuple[Term, ...]": _Codec(
-        lambda ts: [_to_json(t, Term) for t in ts],
-        lambda v: tuple(_from_json(t, Term) for t in _array(v)),
-        children=lambda ts: ts, rebuild=lambda ts, it: tuple(next(it) for _ in ts)),
     "tuple[tuple[Term, ...], ...]": _Codec(
         lambda grid: [[_to_json(t, Term) for t in row] for row in grid],
         lambda v: tuple(tuple(_from_json(t, Term) for t in _array(row)) for row in _array(v)),
-        children=lambda grid: tuple(t for row in grid for t in row),
-        rebuild=lambda grid, it: tuple(tuple(next(it) for _ in row) for row in grid)),
+        children=lambda grid: tuple(t for row in grid for t in row)),
 }
 
 _TAGS = {
@@ -410,7 +357,7 @@ _TAGS = {
     Sum: "sum", Prod: "prod", Amp: "amp", Block: "block",
     Norm: "norm", NormSq: "norm_sq", SpanDist: "span_dist", PsdDist: "psd_dist",
     AbsDiff: "abs_diff", DotMinus: "dotminus", Max: "max", Min: "min", Plus: "plus",
-    Times: "times", Lit: "lit", Sup: "sup", Inf: "inf", Pred: "pred",
+    Times: "times", Lit: "lit", Sup: "sup", Inf: "inf",
 }
 _CLASSES = {tag: cls for cls, tag in _TAGS.items()}
 _FIELDS = {cls: tuple((f.name, _CODECS[f.type]) for f in fields(cls)) for cls in _TAGS}
@@ -428,12 +375,6 @@ def _children(node) -> tuple:
                  for child in codec.children(getattr(node, name)))
 
 
-def _rebuild(node, children):
-    it = iter(children)
-    return type(node)(*[codec.rebuild(getattr(node, name), it)
-                        for name, codec in _fields_of(node)])
-
-
 def free_variables(node) -> set[str]:
     if isinstance(node, Var):
         return {node.name}
@@ -444,51 +385,6 @@ def free_variables(node) -> set[str]:
     for child in _children(node):
         out |= free_variables(child)
     return out
-
-
-def substitute(node, mapping: Mapping[str, Term]):
-    """Capture-avoiding substitution of terms for free variables."""
-    if isinstance(node, Var):
-        return mapping.get(node.name, node)
-    if isinstance(node, _Quantified):
-        bound = {name for name, _ in node.bindings}
-        live = {k: v for k, v in mapping.items() if k not in bound}
-        if not live:
-            return node
-        clash = bound & set().union(*(free_variables(t) for t in live.values()))
-        bindings = node.bindings
-        body = node.body
-        if clash:
-            renames = {name: name + "'" for name in clash}
-            while any(r in free_variables(body) or any(r in free_variables(t) for t in live.values())
-                      for r in renames.values()):
-                renames = {k: v + "'" for k, v in renames.items()}
-            bindings = tuple((renames.get(name, name), ball) for name, ball in bindings)
-            body = substitute(body, {k: Var(v) for k, v in renames.items()})
-        body = substitute(body, live)
-        return type(node)(bindings, body)
-    children = [substitute(c, mapping) for c in _children(node)]
-    if not children:
-        return node
-    return _rebuild(node, children)
-
-
-def _expand_predicates(node, registry: PredicateRegistry, depth: int = 0):
-    if depth > 16:
-        raise ValueError("predicate expansion is too deep (cyclic definitions?)")
-    if isinstance(node, Pred):
-        handle = registry.get(node.name)
-        if len(node.args) != len(handle.params):
-            raise ValueError(
-                f"predicate {node.name!r} expects {len(handle.params)} arguments, "
-                f"got {len(node.args)}"
-            )
-        body = substitute(handle.body, dict(zip(handle.params, node.args)))
-        return _expand_predicates(body, registry, depth + 1)
-    children = [_expand_predicates(c, registry, depth) for c in _children(node)]
-    if not children:
-        return node
-    return _rebuild(node, children)
 
 
 def _structure_bytes(node) -> bytes:
@@ -706,17 +602,16 @@ class _Evaluator:
     """
 
     def __init__(self, sentence: Formula, structures: Mapping[str, OperatorSystem],
-                 config: EvalConfig, hints, probe, registry: PredicateRegistry):
+                 config: EvalConfig, hints, probe):
         self.structures = dict(structures)
         self.hints = list(hints or ())
         self.probe = probe
-        self.sentence = _expand_predicates(sentence, registry)
         # bare identity multiples materialize at the smallest ambient dimension;
         # amplified balls carry their own larger full algebras
         self.ambient = min((s.ambient_dim for s in self.structures.values()), default=1)
         self.quantifiers: list[_Quantifier] = []
         self.top: list[_Quantifier] = []  # the quantifiers outside every other one
-        self.root, _ = self._formula(self.sentence, {})
+        self.root, _ = self._formula(sentence, {})
         bound = {f.name for q in self.quantifiers for f in q.frames}
         for entry in self.hints:
             for name in entry:
@@ -1043,8 +938,7 @@ class _Evaluator:
 def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
              config: EvalConfig | None = None, *,
              hints: Sequence[Mapping[str, object]] | None = None,
-             probe: Callable | None = None,
-             registry: PredicateRegistry | None = None) -> EvalResult:
+             probe: Callable | None = None) -> EvalResult:
     """Evaluate a closed sentence over named structures.
 
     hints: optional list of partial witness assignments {var: matrix-or-callable};
@@ -1066,18 +960,18 @@ def evaluate(sentence: Formula, structures: Mapping[str, OperatorSystem],
     as tight as that point.
 
     probe: optional callable probe(node, env, value), called with the result of
-    every quantifier search.  Each search remembers the points it has scored,
-    so a nested quantifier is searched, and probed, once per distinct point of
-    its enclosing search, not once per request for that point.
+    every quantifier search; node is that quantifier's own Sup or Inf object in
+    the sentence passed in, not a copy.  Each search remembers the points it
+    has scored, so a nested quantifier is searched, and probed, once per
+    distinct point of its enclosing search, not once per request for that
+    point.
 
     The witnesses are those of each search's best point: the outermost
     search's variables, then those of the searches nested in it, run at that
     point; an inner variable that shadows an outer one wins.
     """
     config = config or EvalConfig()
-    ev = _Evaluator(sentence, structures, config, hints, probe,
-                    registry or PredicateRegistry())
-    return ev.run()
+    return _Evaluator(sentence, structures, config, hints, probe).run()
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,8 @@ def test_parse_error_exit_2(files, capsys):
     # dimensions are counts: (-1)(-1) matching the 1 x 1 Choi matrix does not make them valid
     ("pisier", {"dom_dim": -1, "cod_dim": -1, "choi": {"rows": 1, "cols": 1,
                                                        "data": [[1, 0]]}}),
+    # sentences have no "pred" tag: they are composed by Python builders
+    ("eval", ["pred", "P", [["var", "x"]]]),
 ])
 def test_malformed_input_exit_2(files, capsys, tmp_path, command, content):
     path = tmp_path / "malformed.json"

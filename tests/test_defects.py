@@ -23,6 +23,7 @@ from opsyslab import (
     haar_unitary,
     hermitian_part,
     lambda_min,
+    multiplication_predicate,
     op_norm,
     product_certificate_sentence,
     product_closure_defect,
@@ -31,7 +32,6 @@ from opsyslab import (
     random_contraction,
     random_hermitian,
     sample_ball,
-    substitute,
     unitarity_score,
     unitary_average_decompose,
     unitary_defect,
@@ -121,8 +121,8 @@ def test_completion_witness_attains_the_sup_over_b(family, d, seed):
     B = full_matrix_algebra(d) if family == "full" else _direct_sum(rng, [d - 1, 1])
     x, y, z = sample_ball(B, 1.0, seed, 3)
     closed = closure_gap(x, y, z, completion_witness(x, z))
-    leaf = closure_sentence().body.body  # sup_{b in B_2} closure_gap(x, y, z, b)
-    sentence = substitute(leaf, {"x": Const(x), "y": Const(y), "z": Const(z)})
+    # sup_{b in B_2} closure_gap(x, y, z, b)
+    sentence = multiplication_predicate(Const(x), Const(y), Const(z))
     search = evaluate(sentence, {"B": B}, EvalConfig(32, 4000))
     assert closed >= search.value - 1e-12
     exact = evaluate(sentence, {"B": B}, hints=[{"b": Exact(completion_witness(x, z))}])

@@ -24,8 +24,6 @@ from opsyslab import (
     NormSq,
     OPT_TOL,
     Plus,
-    Pred,
-    PredicateRegistry,
     Prod,
     PsdDist,
     Scale,
@@ -48,7 +46,6 @@ from opsyslab import (
     sample_ball,
     sentence_from_json,
     sentence_to_json,
-    substitute,
 )
 from opsyslab.defects import unitarity_score_formula
 from opsyslab.logic import _children, _spec_norm, _structure_seed
@@ -119,12 +116,15 @@ def test_non_quantifier_root_searches_once():
              SpanDist(Const(np.array([[0, 1], [1, 0]])), "A"))
     calls = []
     r = evaluate(f, {"A": diagonal_algebra(2)}, EvalConfig(multistart=4, max_iter=100, rng_seed=3),
-                 probe=lambda node, env, value: calls.append(type(node)))
+                 probe=lambda node, env, value: calls.append(node))
     outer, inner = r.stats
     assert outer.searches == 1
     assert inner.searches == outer.evaluations - outer.repeats
     assert len(calls) == sum(s.searches for s in r.stats)
-    assert calls.count(Sup) == 1 and calls[-1] is Sup
+    assert [type(node) for node in calls].count(Sup) == 1
+    # the probe receives the caller's own quantifier nodes, not copies
+    assert calls[-1] is f.left
+    assert all(node is f.left.body for node in calls[:-1])
     assert sorted(r.witnesses) == ["x", "z"]
 
 
@@ -428,42 +428,14 @@ def test_product_gating():
     assert 0.0 <= r.value <= 1.0 + OPT_TOL
 
 
-def test_registry_definitional_expansion():
-    reg = PredicateRegistry()
-    psi1 = unitarity_score_formula("u", 1, "F")
-    handle = reg.register("Q1", ("u",), psi1)
-    assert reg.get("Q1") is handle
-    sentence = Sup((("u", Ball("A", 1.0)),),
-                   AbsDiff(Pred("Q1", (Var("u"),)), psi1))
-    m1 = full_matrix_algebra(1)
-    r = evaluate(sentence, {"A": m1, "F": m1}, FAST, registry=reg)
-    assert r.value == 0.0
-
-
-def test_registry_collision_and_arity():
-    reg = PredicateRegistry()
-    reg.register("P", ("u",), Norm(Var("u")))
-    with pytest.raises(ValueError):
-        reg.register("P", ("u",), Norm(Var("u")))
-    with pytest.raises(ValueError):
-        reg.register("Q", ("u", "v"), Norm(Var("u")))  # free vars do not match
-    bad_use = Sup((("x", Ball("A", 1.0)),), Pred("P", (Var("x"), Var("x"))))
-    with pytest.raises(ValueError):
-        evaluate(bad_use, {"A": full_matrix_algebra(2)}, FAST, registry=reg)
-
-
-def test_substitute_and_free_variables():
+def test_free_variables():
     body = Norm(Sum(Var("x"), Var("y")))
     assert free_variables(body) == {"x", "y"}
-    closed = substitute(body, {"x": Const(np.eye(2)), "y": Const(np.eye(2))})
-    assert free_variables(closed) == set()
-    r = evaluate(closed, {}, FAST)
-    assert r.value == pytest.approx(2.0)
-    # substituting x for u under a binder of x renames the bound x
+    assert free_variables(Norm(Sum(Const(np.eye(2)), Unit(1)))) == set()
+    # a binder of x binds x in its body only
     inner = Inf((("x", Ball("A", 1.0)),), Norm(Sum(Var("x"), Scale(-1.0, Var("u")))))
-    renamed = substitute(inner, {"u": Var("x")})
-    assert [name for name, _ in renamed.bindings] == ["x'"]
-    assert free_variables(renamed) == {"x"}
+    assert free_variables(inner) == {"u"}
+    assert free_variables(Plus(inner, Norm(Var("x")))) == {"u", "x"}
 
 
 def _every_tag_sentence():
@@ -472,7 +444,7 @@ def _every_tag_sentence():
     body = Max(
         Min(Norm(term), NormSq(Var("z"))),
         Plus(Times(0.5, AbsDiff(SpanDist(Var("y"), "A"), PsdDist(Var("x"), "B"))),
-             DotMinus(Pred("P", (Var("x"), Var("y"))), Lit(-0.25))),
+             DotMinus(Norm(Sum(Var("x"), Scale(-1.0, Var("y")))), Lit(-0.25))),
     )
     return Sup((("x", Ball("A", 2.0)), ("y", UnitaryBall("B"))),
                Inf((("z", Ball("B")),), body))
@@ -527,14 +499,15 @@ GOLDEN = [
      '["inf", [["x", "F", 1.0]], ["dotminus", ["min", ["norm_sq", ["block", [[["amp", '
      '["var", "u"], 2], ["var", "x"]]]]], ["norm_sq", ["block", [[["amp", ["var", "u"], 2]], '
      '[["var", "x"]]]]]], ["norm_sq", ["var", "x"]]]]'),
-    (_every_tag_sentence, [2633650232, 1230938402],
+    (_every_tag_sentence, [409892432, 1112902550],
      '["sup", [["x", "A", 2.0], ["y", "B", "U"]], ["inf", [["z", "B", 1.0]], ["max", '
      '["min", ["norm", ["block", [[["amp", ["var", "x"], 2], ["scale", [0.5, -1.0], ["sum", '
      '["var", "y"], ["unit", [0.0, 2.0]]]]], [["adj", ["prod", ["var", "x"], ["const", '
      '{"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [-1.0, 0.0]]}]]], '
      '["unit", [1.0, 0.0]]]]]], ["norm_sq", ["var", "z"]]], ["plus", ["times", 0.5, '
      '["abs_diff", ["span_dist", ["var", "y"], "A"], ["psd_dist", ["var", "x"], "B"]]], '
-     '["dotminus", ["pred", "P", [["var", "x"], ["var", "y"]]], ["lit", -0.25]]]]]]'),
+     '["dotminus", ["norm", ["sum", ["var", "x"], ["scale", [-1.0, 0.0], ["var", "y"]]]], '
+     '["lit", -0.25]]]]]]'),
 ]
 
 
@@ -551,7 +524,7 @@ def _every_node_evaluable():
     body = Max(
         Min(Norm(term), NormSq(Amp(Var("z"), 2))),
         Plus(Times(0.5, AbsDiff(PsdDist(Sum(Var("x"), Adj(Var("x"))), "B"), NormSq(Var("y")))),
-             DotMinus(Pred("P", (Var("x"), Var("z"))), Lit(-0.25))),
+             DotMinus(Norm(Sum(Var("x"), Scale(-1.0, Var("z")))), Lit(-0.25))),
     )
     quantified = Sup((("x", Ball("A", 2.0)), ("y", UnitaryBall("B"))),
                      Inf((("z", Ball("B")),), body))
@@ -561,10 +534,8 @@ def _every_node_evaluable():
 def test_every_node_evaluation_golden():
     # one sentence reaching every term and formula node; the root is not a
     # quantifier, so the witnesses come from the outer Sup under the root Plus
-    reg = PredicateRegistry()
-    reg.register("P", ("u", "v"), Norm(Sum(Var("u"), Scale(-1.0, Var("v")))))
     r = evaluate(_every_node_evaluable(), {"A": diagonal_algebra(2), "B": full_matrix_algebra(2)},
-                 EvalConfig(4, 100, rng_seed=7), registry=reg)
+                 EvalConfig(4, 100, rng_seed=7))
     assert r.value == 3.03832714594475
     assert sorted(r.witnesses) == ["x", "y", "z"]
     assert r.converged and r.bound_kind == "heuristic"
