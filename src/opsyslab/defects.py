@@ -37,13 +37,11 @@ from .logic import (
     Sup,
     Term,
     Unit,
-    UnitaryBall,
     Var,
     evaluate,
 )
 from .matrices import (
     _count,
-    _psd_root,
     _require_contraction,
     _square,
     amplify,
@@ -51,7 +49,7 @@ from .matrices import (
     hermitian_part,
     op_norm,
 )
-from .systems import OperatorSystem, dist_to_system, full_matrix_algebra
+from .systems import OperatorSystem, full_matrix_algebra
 
 __all__ = [
     "closure_gap",
@@ -105,11 +103,13 @@ def closure_gap(x, y, z, b) -> float:
 def completion_witness(x, z) -> np.ndarray:
     """PSD b with [2,x,z,b] of constant squared row norm 4 + ||xx*+zz*||.
 
-    b is the square root of ||xx*+zz*||.1 - xx* - zz*; the argument is PSD by
-    construction and ||b||^2 <= ||xx*+zz*||.
+    b is the square root of m.1 - xx* - zz*, with m = lambda_max(xx*+zz*); one
+    eigendecomposition of xx*+zz* gives both m and the roots sqrt(m - lambda_i).
+    eigh sorts the lambda_i ascending, so each m - lambda_i >= 0 exactly, and
+    ||b||^2 <= m.
 
     This b attains sup_b closure_gap(x, y, z, b) for every y.  Write
-    Q = 1+yy*, W = xy*+z, S = 4+xx*+zz*, c = lambda_max(S) and P = bb*.  The
+    Q = 1+yy*, W = xy*+z, S = 4+xx*+zz*, c = lambda_max(S) = 4+m and P = bb*.  The
     wide block's Gram matrix is [[Q, W*], [W, S+P]] and the row's is S+P, so
     the gap is lambda_max([[Q, W*], [W, S+P]]) - lambda_max(S+P); it is never
     negative, as a compression does not raise lambda_max.  With
@@ -123,8 +123,8 @@ def completion_witness(x, z) -> np.ndarray:
     lies in the closure sentence's ball B_2.
     """
     x, z = _common_square(x, z)
-    s = x @ x.conj().T + z @ z.conj().T
-    return _psd_root(hermitian_part(op_norm(s) * np.eye(x.shape[0]) - s))
+    w, v = np.linalg.eigh(x @ x.conj().T + z @ z.conj().T)
+    return (v * np.sqrt(w[-1] - w)) @ v.conj().T
 
 
 def multiplication_predicate(x: Term, y: Term, z: Term) -> Formula:
@@ -164,16 +164,19 @@ def _closure_hints(A: OperatorSystem):
     """Witness starts for the closure sentence.
 
     The four outer pairs are the unit-norm basis directions whose product lies
-    farthest from the span.  The z hint is -xy* projected onto the span and
-    scaled into the unit ball.  The b hint is the completion witness, marked
-    Exact: it attains the sup over b (see completion_witness), so that search
-    scores it alone.
+    farthest from the span in the Hilbert-Schmidt norm: membership_residual,
+    which needs no SDP and lies between the operator-norm distance and sqrt(d)
+    times it.  Products already in the span score at rounding level, so the
+    order among them is deterministic but arbitrary.  The z hint is -xy*
+    projected onto the span and scaled into the unit ball.  The b hint is the
+    completion witness, marked Exact: it attains the sup over b (see
+    completion_witness), so that search scores it alone.
     """
     cands = [b / op_norm(b) for b in A.basis]
     scored = []
     for i, ci in enumerate(cands):
         for j, cj in enumerate(cands):
-            scored.append((dist_to_system(ci @ cj.conj().T, A), i, j))
+            scored.append((A.membership_residual(ci @ cj.conj().T), i, j))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     hints = [{"x": cands[i], "y": cands[j]} for _, i, j in scored[:4]]
 
@@ -313,7 +316,7 @@ def product_certificate_sentence() -> Formula:
     )
     body = PsdDist(Block(grid), "A")
     inner = Inf((("x", Ball("A", 1.0)),), body)
-    return Sup((("u", UnitaryBall("A")), ("v", UnitaryBall("A"))), inner)
+    return Sup((("u", Ball("A", unitary=True)), ("v", Ball("A", unitary=True))), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +352,8 @@ def four_unitary_sentence() -> Formula:
     avg = Scale(-0.5, Sum(Sum(Var("u1"), Var("u2")), Sum(Var("u3"), Var("u4"))))
     body = Norm(Sum(Var("x"), avg))
     inner = Inf(
-        (("u1", UnitaryBall("A")), ("u2", UnitaryBall("A")),
-         ("u3", UnitaryBall("A")), ("u4", UnitaryBall("A"))),
+        (("u1", Ball("A", unitary=True)), ("u2", Ball("A", unitary=True)),
+         ("u3", Ball("A", unitary=True)), ("u4", Ball("A", unitary=True))),
         body,
     )
     return Sup((("x", Ball("A", 1.0)),), inner)

@@ -45,7 +45,7 @@ __all__ = [
     "Term", "Var", "Const", "Unit", "Adj", "Scale", "Sum", "Block", "Amp", "Prod",
     "Formula", "Norm", "NormSq", "SpanDist", "PsdDist", "AbsDiff", "DotMinus",
     "Max", "Min", "Plus", "Times", "Lit", "Sup", "Inf",
-    "Ball", "UnitaryBall",
+    "Ball",
     "Exact", "OPT_TOL", "EvalConfig", "EvalResult", "SearchStats", "evaluate",
     "free_variables", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
@@ -167,21 +167,23 @@ class Prod(Term):
 
 @dataclass(frozen=True)
 class Ball:
-    """Radius-r operator-norm ball of the named structure's span."""
+    """Radius-r operator-norm ball of the named structure's span.
+
+    unitary=True binds the unitaries U(A) = {exp(iH) : H = H* in the span,
+    ||H|| <= pi} instead; U(A) has no radius, so the radius must stay 1.0.
+    """
 
     structure: str
     radius: float = 1.0
+    unitary: bool = False
 
     def __post_init__(self):
         if not _number(self.radius) > 0:
             raise ValueError("ball radius must be positive")
-
-
-@dataclass(frozen=True)
-class UnitaryBall:
-    """Unitaries exp(iH), H Hermitian in the named structure's span, ||H|| <= pi."""
-
-    structure: str
+        if not isinstance(self.unitary, bool):
+            raise ValueError(f"ball's unitary flag must be a bool, got {self.unitary!r}")
+        if self.unitary and self.radius != 1.0:
+            raise ValueError("a unitary ball has no radius")
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +263,7 @@ class Lit(Formula):
 
 @dataclass(frozen=True, eq=False)
 class _Quantified(Formula):
-    bindings: tuple[tuple[str, Ball | UnitaryBall], ...]
+    bindings: tuple[tuple[str, Ball], ...]
     body: Formula
 
     def __post_init__(self):
@@ -272,7 +274,7 @@ class _Quantified(Formula):
         if len(set(names)) != len(names):
             raise ValueError("quantifier binds a variable name twice")
         for _, ball in out:
-            if not isinstance(ball, (Ball, UnitaryBall)):
+            if not isinstance(ball, Ball):
                 raise ValueError(f"expected a ball specification, got {ball!r}")
         object.__setattr__(self, "bindings", out)
 
@@ -303,7 +305,7 @@ class _Codec:
 
 
 def _bindings_to_json(bindings) -> list:
-    return [[name, ball.structure, "U" if isinstance(ball, UnitaryBall) else float(ball.radius)]
+    return [[name, ball.structure, "U" if ball.unitary else float(ball.radius)]
             for name, ball in bindings]
 
 
@@ -312,7 +314,7 @@ def _bindings_from_json(value) -> tuple:
     for item in _array(value):
         name, structure, spec = _array(item, 3)
         if spec == "U":
-            ball = UnitaryBall(_string(structure))
+            ball = Ball(_string(structure), unitary=True)
         else:
             ball = Ball(_string(structure), _number(spec))
         out.append((_string(name), ball))
@@ -322,10 +324,11 @@ def _bindings_from_json(value) -> tuple:
 def _bindings_seed(bindings):
     for name, ball in bindings:
         yield name.encode()
-        yield type(ball).__name__.encode()
+        yield b"Ball"
         yield ball.structure.encode()
-        if isinstance(ball, Ball):
-            yield np.float64(ball.radius).tobytes()
+        yield np.float64(ball.radius).tobytes()
+        if ball.unitary:
+            yield b"U"
 
 
 def _child_codec(kind: type) -> _Codec:
@@ -342,7 +345,7 @@ _CODECS = {
     "np.ndarray": _Codec(matrix_to_json, matrix_from_json,
                          seed=lambda a: (np.ascontiguousarray(a).tobytes(),
                                          repr(a.shape).encode())),
-    "tuple[tuple[str, Ball | UnitaryBall], ...]": _Codec(
+    "tuple[tuple[str, Ball], ...]": _Codec(
         _bindings_to_json, _bindings_from_json, seed=_bindings_seed),
     "Term": _child_codec(Term),
     "Formula": _child_codec(Formula),
@@ -475,8 +478,8 @@ class _EarlyStop(Exception):
 class _VarFrame:
     """Maps real coordinates to a ball element of one structure, bound to one name.
 
-    A Ball's coordinates are the real and imaginary parts, interleaved, of a
-    span element; a UnitaryBall's are the real coordinates of a generator H
+    A span ball's coordinates are the real and imaginary parts, interleaved, of
+    a span element; a unitary ball's are the real coordinates of a generator H
     over the Hermitian basis, and its element is exp(iH).  Either way the
     combination is clamped to the operator-norm radius (pi for H).  cut is the
     slice of the coordinates of its quantifier that it reads.
@@ -486,7 +489,7 @@ class _VarFrame:
         self.name = name
         self.system = system
         self.cut: slice = None
-        self.unitary = isinstance(ball, UnitaryBall)
+        self.unitary = ball.unitary
         if self.unitary:
             self.radius = float(np.pi)
             self._stack = system.hermitian_basis
@@ -817,7 +820,7 @@ class _Evaluator:
         frames = []
         for name, ball in f.bindings:
             system = self._system(ball.structure)
-            if isinstance(ball, UnitaryBall) and not system.is_cstar:
+            if ball.unitary and not system.is_cstar:
                 raise ValueError(f"unitary quantification over {ball.structure!r} needs a "
                                  "product-closed structure")
             frames.append(_VarFrame(name, ball, system))

@@ -114,12 +114,7 @@ def dist_to_psd(h) -> float:
 
 def psd_sqrt(h) -> np.ndarray:
     """PSD square root; eigenvalues in [-EIG_TOL, 0) are clamped to 0."""
-    return _psd_root(_require_hermitian(h))
-
-
-def _psd_root(a: np.ndarray) -> np.ndarray:
-    """psd_sqrt of an exactly Hermitian array."""
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(_require_hermitian(h))
     if w[0] < -EIG_TOL:
         raise NotPsdError(f"smallest eigenvalue {w[0]:.3e} is below -EIG_TOL")
     w = np.clip(w, 0.0, None)

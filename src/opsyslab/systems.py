@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrices import (_array, _count, _matrix_units, as_matrix, hermitian_part,
+from .matrices import (_array, _count, _matrix_units, _number, as_matrix, hermitian_part,
                        matrix_from_json, matrix_to_json, op_norm)
 
 __all__ = [
@@ -356,7 +356,7 @@ def _draw_ball_coords(rng: np.random.Generator, system: OperatorSystem,
 def sample_ball(system: OperatorSystem, radius: float, rng_seed: int,
                 count: int) -> list[np.ndarray]:
     """Deterministic-in-seed span elements with operator norm <= radius."""
-    if not radius > 0:
+    if not _number(radius) > 0:
         raise ValueError(f"ball radius must be positive, got {radius!r}")
     count = _count(count, "count", least=0)
     rng = np.random.default_rng(_count(rng_seed, "rng_seed", least=0))

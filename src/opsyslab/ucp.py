@@ -181,11 +181,7 @@ def mult_domain_defect(phi: UcpMap, a) -> float:
     in a <-> a* by construction.
     """
     m = as_matrix(a)
-    pa = apply_map(phi, m)
-    pastar = apply_map(phi, m.conj().T)
-    left = op_norm(pastar @ pa - apply_map(phi, m.conj().T @ m))
-    right = op_norm(pa @ pastar - apply_map(phi, m @ m.conj().T))
-    return max(left, right)
+    return max(_hom_gap(phi, m.conj().T, m), _hom_gap(phi, m, m.conj().T))
 
 
 @dataclass

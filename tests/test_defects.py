@@ -16,6 +16,7 @@ from opsyslab import (
     closure_sentence,
     completion_witness,
     diagonal_algebra,
+    dist_bracket,
     dist_to_psd,
     evaluate,
     exp_i_hermitian,
@@ -41,7 +42,7 @@ from opsyslab import (
     unitary_span_defect,
     walter_matrix,
 )
-from strategies import _direct_sum
+from strategies import _conjugated, _direct_sum
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -127,9 +128,13 @@ def test_completion_witness_attains_the_sup_over_b(family, d, seed):
     assert closed >= search.value - 1e-12
     exact = evaluate(sentence, {"B": B}, hints=[{"b": Exact(completion_witness(x, z))}])
     assert exact.value == pytest.approx(closed, abs=1e-12)
-    # the witness skips psd_sqrt's Hermitian check and still gives its bits
+    # one eigh gives lambda_max and the roots; psd_sqrt takes them apart, so
+    # the two agree up to rounding, not bit for bit
+    b = completion_witness(x, z)
     s = x @ x.conj().T + z @ z.conj().T
-    assert np.array_equal(completion_witness(x, z), psd_sqrt(op_norm(s) * np.eye(d) - s))
+    assert np.allclose(b, psd_sqrt(op_norm(s) * np.eye(d) - s), atol=1e-12)
+    assert np.allclose(b, b.conj().T, atol=1e-12)
+    assert np.linalg.eigvalsh(b)[0] >= -1e-12
 
 
 # -- the triple-quantified closure sentence -----------------------------------
@@ -147,8 +152,8 @@ def test_closure_defect_open_structure():
     assert r.defect >= 1 / 64 - OPT_TOL
     assert r.bound_check <= 4 * np.sqrt(r.defect) + OPT_TOL
     # the search trajectory is pinned bit for bit
-    assert r.defect == 0.06523350739673806
-    assert r.bound_check == 0.5326024998594782
+    assert r.defect == 0.06523350739673894
+    assert r.bound_check == 0.5326024998594794
 
 
 def test_closure_leaf_is_answered_at_the_completion_witness():
@@ -162,6 +167,52 @@ def test_closure_leaf_is_answered_at_the_completion_witness():
     assert leaf.searches == leaf.evaluations == 2179
     assert leaf.polish_runs == leaf.repeats == leaf.budget_exhausted == 0
     assert sum(s.budget_exhausted for s in r.stats) == 48
+
+
+def _conjugated_m2(seed):
+    # span{1, g, g*} and M_2, conjugated by one Haar unitary (_conjugated draws it first)
+    units = [np.outer(e, f) for e in np.eye(2) for f in np.eye(2)]
+    return (_conjugated(np.random.default_rng(seed), [E12]),
+            _conjugated(np.random.default_rng(seed), units))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (canonicalize([E12], 2), full_matrix_algebra(2), FAST),
+    lambda: (full_matrix_algebra(2), full_matrix_algebra(2), FAST),
+    lambda: (diagonal_algebra(2), full_matrix_algebra(2), FAST),
+    lambda: (*_conjugated_m2(3), EvalConfig()),
+    lambda: (*_conjugated_m2(4), EvalConfig()),
+], ids=["span-e12", "m2", "diag2", "conjugated-3", "conjugated-4"])
+def test_closure_defect_lies_in_its_bracket(case):
+    # at the reported (x, y), with w = ||xy* + z|| and c <= 6:
+    #   lower: the value is at least phi(w, c) >= (sqrt(25 + 4w^2) - 5)/2, and
+    #          w >= dist(xy*, A) >= t, the certified lower end of dist_bracket;
+    #   upper: the inf over z scores its hint, -xy* projected onto A and
+    #          scaled into A_1, where sup_b is the completion witness's value.
+    # 1e-12 absorbs rounding: a closed system gives a few 1e-15 against 0.
+    A, B, config = case()
+    r = product_closure_defect(A, B, config)
+    x, y = r.worst_pair
+    t = dist_bracket(x @ y.conj().T, A)[0]
+    lower = (np.sqrt(25 + 4 * t ** 2) - 5) / 2
+    z = A.project(-x @ y.conj().T)
+    z /= max(1.0, op_norm(z))
+    upper = closure_gap(x, y, z, completion_witness(x, z))
+    assert lower - 1e-12 <= r.defect <= upper + 1e-12
+
+
+def test_closure_hints_solve_no_sdp(monkeypatch):
+    # the outer pairs are ranked by Hilbert-Schmidt residual, not by span distance
+    import opsyslab.systems as systems
+    from opsyslab.defects import _closure_hints
+
+    system = canonicalize([E12], 2)
+    calls = []
+    solver = systems._min_affine_spectral
+    monkeypatch.setattr(systems, "_min_affine_spectral",
+                        lambda *args: calls.append(args) or solver(*args))
+    _closure_hints(system)
+    assert calls == []
 
 
 def test_closure_requires_containment():

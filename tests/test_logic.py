@@ -32,7 +32,6 @@ from opsyslab import (
     Sup,
     Times,
     Unit,
-    UnitaryBall,
     Var,
     canonicalize,
     closure_sentence,
@@ -252,7 +251,8 @@ def test_shape_errors_precede_search(body):
     assert calls == []
 
 
-@pytest.mark.parametrize("ball", [Ball("A", 1.0), UnitaryBall("A")], ids=["span", "unitary"])
+@pytest.mark.parametrize("ball", [Ball("A", 1.0), Ball("A", unitary=True)],
+                         ids=["span", "unitary"])
 @pytest.mark.parametrize("hint", [np.eye(3), lambda env: np.eye(3)], ids=["constant", "callable"])
 def test_malformed_hint_rejected(ball, hint):
     calls = []
@@ -290,8 +290,8 @@ def test_inf_stops_at_floor_inside_local_search():
 
 
 @pytest.mark.parametrize("ball, hint, match", [
-    (UnitaryBall("A"), {"x": 0.5 * np.eye(2)}, "not unitary"),
-    (UnitaryBall("A"), {"x": lambda env: np.array([[0, 2], [0, 0]])}, "not unitary"),
+    (Ball("A", unitary=True), {"x": 0.5 * np.eye(2)}, "not unitary"),
+    (Ball("A", unitary=True), {"x": lambda env: np.array([[0, 2], [0, 0]])}, "not unitary"),
     (Ball("A", 1.0), {"xx": 0.5 * np.eye(2)}, "no quantifier binds"),
 ], ids=["non-unitary-constant", "non-unitary-callable", "unknown-name"])
 def test_unusable_hint_rejected(ball, hint, match):
@@ -361,6 +361,23 @@ def test_psd_dist_rejects_non_hermitian_value():
 def test_non_finite_numbers_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Ball("A", 2.0, unitary=True), "no radius"),
+    (lambda: Ball("A", unitary=1), "must be a bool"),
+], ids=["unitary-radius", "unitary-int"])
+def test_ball_spec_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_unitary_binding_json():
+    # a unitary ball keeps the "U" of the radius slot
+    text = '["sup", [["u", "A", "U"]], ["norm", ["var", "u"]]]'
+    sentence = sentence_from_json(json.loads(text))
+    assert sentence.bindings == (("u", Ball("A", unitary=True)),)
+    assert json.dumps(sentence_to_json(sentence)) == text
 
 
 X = np.array([[1, 2j], [0.5, -1]])
@@ -446,7 +463,7 @@ def _every_tag_sentence():
         Plus(Times(0.5, AbsDiff(SpanDist(Var("y"), "A"), PsdDist(Var("x"), "B"))),
              DotMinus(Norm(Sum(Var("x"), Scale(-1.0, Var("y")))), Lit(-0.25))),
     )
-    return Sup((("x", Ball("A", 2.0)), ("y", UnitaryBall("B"))),
+    return Sup((("x", Ball("A", 2.0)), ("y", Ball("B", unitary=True))),
                Inf((("z", Ball("B")),), body))
 
 
@@ -485,12 +502,12 @@ GOLDEN = [
      '["var", "y"], ["unit", [1.0, 0.0]], ["unit", [0.0, 0.0]]], [["unit", [2.0, 0.0]], '
      '["var", "x"], ["var", "z"], ["var", "b"]]]]], ["norm_sq", ["block", [[["unit", '
      '[2.0, 0.0]], ["var", "x"], ["var", "z"], ["var", "b"]]]]]]]]]'),
-    (product_certificate_sentence, [1717451335, 1385319772],
+    (product_certificate_sentence, [3994626851, 1385319772],
      '["sup", [["u", "A", "U"], ["v", "A", "U"]], ["inf", [["x", "A", 1.0]], '
      '["psd_dist", ["block", [[["unit", [1.0, 0.0]], ["var", "u"], ["var", "x"]], '
      '[["adj", ["var", "u"]], ["unit", [1.0, 0.0]], ["var", "v"]], [["adj", ["var", "x"]], '
      '["adj", ["var", "v"]], ["unit", [1.0, 0.0]]]]], "A"]]]'),
-    (four_unitary_sentence, [1660953022, 1509493554],
+    (four_unitary_sentence, [2701387393, 2917041398],
      '["sup", [["x", "A", 1.0]], ["inf", [["u1", "A", "U"], ["u2", "A", "U"], '
      '["u3", "A", "U"], ["u4", "A", "U"]], ["norm", ["sum", ["var", "x"], ["scale", '
      '[-0.5, 0.0], ["sum", ["sum", ["var", "u1"], ["var", "u2"]], ["sum", ["var", "u3"], '
@@ -499,7 +516,7 @@ GOLDEN = [
      '["inf", [["x", "F", 1.0]], ["dotminus", ["min", ["norm_sq", ["block", [[["amp", '
      '["var", "u"], 2], ["var", "x"]]]]], ["norm_sq", ["block", [[["amp", ["var", "u"], 2]], '
      '[["var", "x"]]]]]], ["norm_sq", ["var", "x"]]]]'),
-    (_every_tag_sentence, [409892432, 1112902550],
+    (_every_tag_sentence, [239822126, 1112902550],
      '["sup", [["x", "A", 2.0], ["y", "B", "U"]], ["inf", [["z", "B", 1.0]], ["max", '
      '["min", ["norm", ["block", [[["amp", ["var", "x"], 2], ["scale", [0.5, -1.0], ["sum", '
      '["var", "y"], ["unit", [0.0, 2.0]]]]], [["adj", ["prod", ["var", "x"], ["const", '
@@ -526,7 +543,7 @@ def _every_node_evaluable():
         Plus(Times(0.5, AbsDiff(PsdDist(Sum(Var("x"), Adj(Var("x"))), "B"), NormSq(Var("y")))),
              DotMinus(Norm(Sum(Var("x"), Scale(-1.0, Var("z")))), Lit(-0.25))),
     )
-    quantified = Sup((("x", Ball("A", 2.0)), ("y", UnitaryBall("B"))),
+    quantified = Sup((("x", Ball("A", 2.0)), ("y", Ball("B", unitary=True))),
                      Inf((("z", Ball("B")),), body))
     return Plus(quantified, SpanDist(Const(np.array([[0, 1], [1, 0]])), "A"))
 
@@ -536,7 +553,7 @@ def test_every_node_evaluation_golden():
     # quantifier, so the witnesses come from the outer Sup under the root Plus
     r = evaluate(_every_node_evaluable(), {"A": diagonal_algebra(2), "B": full_matrix_algebra(2)},
                  EvalConfig(4, 100, rng_seed=7))
-    assert r.value == 3.03832714594475
+    assert r.value == 2.98670345914069
     assert sorted(r.witnesses) == ["x", "y", "z"]
     assert r.converged and r.bound_kind == "heuristic"
 

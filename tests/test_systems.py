@@ -177,9 +177,11 @@ def test_sample_ball_contract():
     assert sample_ball(system, 1.0, 42, 0) == []
 
 
-def test_ball_spec_validation():
+@pytest.mark.parametrize("radius", [0.0, float("inf"), True, 1j])
+def test_ball_spec_validation(radius):
+    # the radius rule of Ball: a finite real number above 0, not a bool
     with pytest.raises(ValueError):
-        sample_ball(canonicalize([], 2), 0.0, 42, 1)
+        sample_ball(canonicalize([], 2), radius, 42, 1)
 
 
 @pytest.mark.parametrize("seed, count", [(True, 1), (1.5, 1), (42, 1.5)])
