@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._powell import minimize
 from .matrices import (
     _array,
     _complex,
@@ -50,19 +51,6 @@ __all__ = [
     "free_variables", "NestingDepthError",
     "sentence_to_json", "sentence_from_json",
 ]
-
-
-def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, with scipy imported at the first local search.
-
-    Importing scipy.optimize costs more than the rest of the package, and only
-    the quantifier search needs it.  The search calls this module attribute, so
-    a caller may replace it to observe each Powell run (perfbench/tracer.py
-    does).
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **options)
 
 
 class NestingDepthError(ValueError):
@@ -867,9 +855,12 @@ class _Evaluator:
     def _quant(self, q: _Quantifier, env) -> float:
         """One search: score every start, then polish the best with Powell.
 
-        Powell minimizes the signed value (the value for an inf, its negative
-        for a sup) and stops at its evaluation cap, q.budget.  An inf stops
-        at the first fresh point at or below its static floor.  An exact
+        Powell (`minimize`, looked up at each call) minimizes the signed value
+        (the value for an inf, its negative for a sup) and stops at its
+        tolerances or at its evaluation cap, q.budget.  It returns only its
+        evaluation count: raw tracks the best point and its witnesses itself.
+        An inf stops at the first fresh point at or below its static floor,
+        with an _EarlyStop that passes through Powell unchanged.  An exact
         quantifier's one start is its whole search.
         """
         is_sup = q.is_sup
@@ -912,11 +903,12 @@ class _Evaluator:
             # a stable sort: ties go to the earlier start
             for idx in sorted(range(len(starts)), key=signed.__getitem__)[:q.polish]:
                 stats.polish_runs += 1
+                # the line search's bracket overflows along a direction in which
+                # the body is unbounded
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    res = minimize(raw, starts[idx], method="Powell",
-                                   options={"maxfev": q.budget, "xtol": 1e-5, "ftol": 1e-8})
-                stats.budget_exhausted += res.nfev >= q.budget
+                    nfev = minimize(raw, starts[idx], q.budget, xtol=1e-5, ftol=1e-8)
+                stats.budget_exhausted += nfev >= q.budget
         except _EarlyStop:
             stats.early_stops += 1
 

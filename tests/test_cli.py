@@ -273,7 +273,7 @@ print(json.dumps(loaded))
 
 
 def test_import_and_non_search_commands_load_no_scipy(files):
-    # a fresh interpreter: scipy loads at the first Powell search or unitary-ball chart only
+    # a fresh interpreter: scipy loads only where a unitary-ball hint is charted
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -287,3 +287,35 @@ def test_import_and_non_search_commands_load_no_scipy(files):
                          capture_output=True, text=True, env=env, check=True)
     loaded = json.loads(run.stdout)
     assert loaded == {name: [] for name in ("import", "walter", "decompose", "ucp-suite", "pisier")}
+
+
+def test_search_commands_load_no_scipy(files, tmp_path):
+    # the search's Powell method is in the package, and scipy.linalg loads only
+    # where a unitary-ball hint is charted (matrices.unitary_log's Schur form),
+    # which no command does
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def loaded(script, *args):
+        run = subprocess.run([sys.executable, "-c", script, *args],
+                             capture_output=True, text=True, env=env, check=True)
+        return json.loads(run.stdout)
+
+    commands = [
+        ["check-closure", files["diag2"], files["m2"], "--multistart", "2", "--max-iter", "100"],
+        ["eval", files["sentence"], "--structure", f"A={files['m2']}", "--multistart", "2"],
+        ["detect-unitary", files["halfdiag"], "--n-max", "1"],
+    ]
+    assert loaded(_NO_SCIPY_SCRIPT, json.dumps(commands)) == {
+        name: [] for name in ("import", "check-closure", "eval", "detect-unitary")}
+    unitary = tmp_path / "unitary.json"
+    unitary.write_text('["sup", [["u", "A", "U"]], ["norm", ["var", "u"]]]', "utf-8")
+    commands = [["eval", str(unitary), "--structure", f"A={files['m2']}",
+                 "--multistart", "2", "--max-iter", "100"]]
+    assert loaded(_NO_SCIPY_SCRIPT, json.dumps(commands))["eval"] == []
+    modules = loaded("import json, sys, opsyslab as o\n"
+                     "o.unitary_span_defect(o.full_matrix_algebra(2), o.EvalConfig(2, 100))\n"
+                     "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+    assert "scipy.linalg" in modules
+    assert not [m for m in modules if m.startswith("scipy.optimize")]

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsyslab import (
     AbsDiff,
@@ -49,6 +50,8 @@ from opsyslab import (
 from opsyslab.defects import unitarity_score_formula
 from opsyslab.logic import _children, _spec_norm, _structure_seed
 from opsyslab.systems import _combine
+
+from strategies import _random_system
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -148,6 +151,24 @@ def test_inf_below_sampled_points():
     for w in sample_ball(system, 1.0, 6, 10):
         plugged = evaluate(NormSq(Const(w)), {"A": system}, FAST)
         assert r.value <= plugged.value + OPT_TOL
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from(["span", "two", "diag"]), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_sup_and_inf_keep_their_stated_directions(family, d, seed):
+    # a sup is a lower estimate and an inf an upper one, against exact values
+    rng = np.random.default_rng(seed)
+    system = _random_system(family, d, rng)
+    config = EvalConfig(8, 400, rng_seed=5)
+    # sup over A_1 of ||x|| is 1, attained at the unit
+    sup = evaluate(Sup((("x", Ball("A")),), Norm(Var("x"))), {"A": system}, config).value
+    assert 1 - OPT_TOL <= sup <= 1 + 1e-12
+    # ||x0 - z|| >= ||x0|| - ||z|| >= 2 for x0 = 3a/||a||, with equality at z = a/||a||
+    a = system.from_coords(rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim))
+    x0 = 3 * a / op_norm(a)
+    inf = evaluate(Inf((("z", Ball("A")),), Norm(Sum(Const(x0), Scale(-1.0, Var("z"))))),
+                   {"A": system}, config).value
+    assert inf >= 2 - 1e-12
 
 
 def test_monotone_connectives():
