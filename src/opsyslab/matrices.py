@@ -160,20 +160,19 @@ def unitary_defect(u) -> float:
 
 
 def unitary_log(u) -> np.ndarray:
-    """Principal Hermitian generator H of a unitary u, with exp(iH) = u and ||H|| <= pi.
+    """Hermitian H with exp(iH) = u and ||H|| <= pi; ValueError if unitary_defect(u) > EIG_TOL.
 
-    Uses the complex Schur form, whose transform stays unitary even at
-    degenerate eigenvalues.  ValueError when unitary_defect(u) > EIG_TOL: off
-    the unitary group no H has exp(iH) = u.
+    H = q diag(angle(diag(q* u q))) q*, q the Schur vectors of u: LAPACK's eig
+    returns V = Z X, Z the Schur vectors and X upper triangular, so the QR of V
+    gives Z up to column phases, at repeated eigenvalues too.  At an eigenvalue
+    -1 either sign of pi may come back, as rounding falls.
     """
-    from scipy.linalg import schur  # loaded here: the other kernels need numpy only
-
     a = as_matrix(u)
     if unitary_defect(a) > EIG_TOL:
         raise ValueError("matrix is not unitary within EIG_TOL")
-    t, q = schur(a, output="complex")
-    h = q @ np.diag(np.angle(np.diag(t))) @ q.conj().T
-    return hermitian_part(h)
+    q = np.linalg.qr(np.linalg.eig(a)[1])[0]
+    lam = np.einsum("ij,ij->j", q.conj(), a @ q)
+    return hermitian_part((q * np.angle(lam)) @ q.conj().T)
 
 
 def _matrix_units(d: int) -> np.ndarray:

@@ -264,58 +264,51 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = {"import": scipy_modules()}
-for argv in json.loads(sys.argv[1]):
+for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    loaded[argv[0]] = scipy_modules()
+    loaded[name] = scipy_modules()
+if sys.argv[2:] == ["unitary_span_defect"]:
+    # the library path that charts unitary-ball hints (matrices.unitary_log)
+    opsyslab.unitary_span_defect(opsyslab.full_matrix_algebra(2), opsyslab.EvalConfig(2, 100))
+    loaded["unitary_span_defect"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_import_and_non_search_commands_load_no_scipy(files):
-    # a fresh interpreter: scipy loads only where a unitary-ball hint is charted
+def _scipy_loaded(commands, *extra):
+    # a fresh interpreter: numpy is the only runtime dependency
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    commands = [
-        ["walter", files["swap"], files["minus_one"], files["halfdiag"]],
-        ["decompose", files["halfdiag"]],
-        ["ucp-suite", "--samples", "2", "--max-dim", "2"],
-        ["pisier", files["expectation"], "--pairs", "2"],
-    ]
-    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands), *extra],
                          capture_output=True, text=True, env=env, check=True)
-    loaded = json.loads(run.stdout)
-    assert loaded == {name: [] for name in ("import", "walter", "decompose", "ucp-suite", "pisier")}
+    return json.loads(run.stdout)
+
+
+def test_import_and_non_search_commands_load_no_scipy(files):
+    commands = {
+        "walter": ["walter", files["swap"], files["minus_one"], files["halfdiag"]],
+        "decompose": ["decompose", files["halfdiag"]],
+        "ucp-suite": ["ucp-suite", "--samples", "2", "--max-dim", "2"],
+        "pisier": ["pisier", files["expectation"], "--pairs", "2"],
+    }
+    assert _scipy_loaded(commands) == {name: [] for name in ("import", *commands)}
 
 
 def test_search_commands_load_no_scipy(files, tmp_path):
-    # the search's Powell method is in the package, and scipy.linalg loads only
-    # where a unitary-ball hint is charted (matrices.unitary_log's Schur form),
-    # which no command does
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
-    def loaded(script, *args):
-        run = subprocess.run([sys.executable, "-c", script, *args],
-                             capture_output=True, text=True, env=env, check=True)
-        return json.loads(run.stdout)
-
-    commands = [
-        ["check-closure", files["diag2"], files["m2"], "--multistart", "2", "--max-iter", "100"],
-        ["eval", files["sentence"], "--structure", f"A={files['m2']}", "--multistart", "2"],
-        ["detect-unitary", files["halfdiag"], "--n-max", "1"],
-    ]
-    assert loaded(_NO_SCIPY_SCRIPT, json.dumps(commands)) == {
-        name: [] for name in ("import", "check-closure", "eval", "detect-unitary")}
+    # the search's Powell method and unitary_log's eig + QR kernel are in the
+    # package, so neither a search command nor a charted unitary-ball hint loads scipy
     unitary = tmp_path / "unitary.json"
     unitary.write_text('["sup", [["u", "A", "U"]], ["norm", ["var", "u"]]]', "utf-8")
-    commands = [["eval", str(unitary), "--structure", f"A={files['m2']}",
-                 "--multistart", "2", "--max-iter", "100"]]
-    assert loaded(_NO_SCIPY_SCRIPT, json.dumps(commands))["eval"] == []
-    modules = loaded("import json, sys, opsyslab as o\n"
-                     "o.unitary_span_defect(o.full_matrix_algebra(2), o.EvalConfig(2, 100))\n"
-                     "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
-    assert "scipy.linalg" in modules
-    assert not [m for m in modules if m.startswith("scipy.optimize")]
+    commands = {
+        "check-closure": ["check-closure", files["diag2"], files["m2"],
+                          "--multistart", "2", "--max-iter", "100"],
+        "eval": ["eval", files["sentence"], "--structure", f"A={files['m2']}",
+                 "--multistart", "2"],
+        "detect-unitary": ["detect-unitary", files["halfdiag"], "--n-max", "1"],
+        "eval-unitary": ["eval", str(unitary), "--structure", f"A={files['m2']}",
+                         "--multistart", "2", "--max-iter", "100"],
+    }
+    assert _scipy_loaded(commands, "unitary_span_defect") == {
+        name: [] for name in ("import", *commands, "unitary_span_defect")}

@@ -37,6 +37,7 @@ from opsyslab import (
     canonicalize,
     closure_sentence,
     diagonal_algebra,
+    dist_bracket,
     evaluate,
     four_unitary_sentence,
     free_variables,
@@ -51,7 +52,7 @@ from opsyslab.defects import unitarity_score_formula
 from opsyslab.logic import _children, _spec_norm, _structure_seed
 from opsyslab.systems import _combine
 
-from strategies import _random_system
+from strategies import _ginibre, _random_system
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -169,6 +170,20 @@ def test_sup_and_inf_keep_their_stated_directions(family, d, seed):
     inf = evaluate(Inf((("z", Ball("A")),), Norm(Sum(Const(x0), Scale(-1.0, Var("z"))))),
                    {"A": system}, config).value
     assert inf >= 2 - 1e-12
+
+
+@settings(derandomize=True, max_examples=48, deadline=None)
+@given(st.sampled_from(["span", "two", "diag"]), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_inf_never_beats_the_certified_distance(family, d, seed):
+    # A_2 lies in span(A), so Inf z in A_2 ||x - z|| >= dist(x, A) >= dist_bracket's
+    # lower end; the radius 2 holds a minimiser y*, as ||y*|| <= ||x|| + dist <= 2
+    rng = np.random.default_rng(seed)
+    system = _random_system(family, d, rng)
+    x = _ginibre(rng, d)
+    x /= op_norm(x)
+    inf = evaluate(Inf((("z", Ball("A", 2.0)),), Norm(Sum(Const(x), Scale(-1.0, Var("z"))))),
+                   {"A": system}, EvalConfig(8, 400, rng_seed=5)).value
+    assert inf >= dist_bracket(x, system)[0] - 1e-12
 
 
 def test_monotone_connectives():

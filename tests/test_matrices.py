@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsyslab import (
     Amp,
@@ -25,10 +26,13 @@ from opsyslab import (
     psd_sqrt,
     random_contraction,
     random_ucp,
+    unitary_average_decompose,
     unitary_detect,
     unitary_log,
 )
 from opsyslab.matrices import EIG_TOL
+
+from strategies import _unitary
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -178,6 +182,24 @@ def test_unitary_log_reconstructs():
         assert is_hermitian(h)
         assert op_norm(h) <= np.pi + 1e-12
         assert op_norm(exp_i_hermitian(h) - u) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 8, 16]),
+       st.sampled_from(["haar", "repeated", "cluster", "decompose"]),
+       st.integers(0, 2**32 - 1))
+def test_unitary_log_reconstructs_every_spectrum(d, kind, seed):
+    # repeated and clustered eigenvalues included; at an eigenvalue -1 either
+    # sign of pi is a valid logarithm, so only the reconstruction is asserted
+    rng = np.random.default_rng(seed)
+    if kind == "decompose":
+        u = unitary_average_decompose(random_contraction(rng, d))[int(rng.integers(4))]
+    else:
+        u = _unitary(rng, d, kind)
+    h = unitary_log(u)
+    assert is_hermitian(h)
+    assert op_norm(h) <= np.pi + 1e-12
+    assert op_norm(exp_i_hermitian(h) - u) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [0.5 * np.eye(2), [[0, 2], [0, 0]], np.ones((2, 3))],
