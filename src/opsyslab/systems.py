@@ -8,9 +8,12 @@ barrier method and returns (lower, upper).  upper is a feasible value.  lower
 is a dual certificate: for any Z that is Hilbert-Schmidt-orthogonal to the
 span, |<Z, x>| = |<Z, x - y>| <= ||Z||_1 ||x - y|| for every y in the span, so
 |<Z, x>| / ||Z||_1 (||.||_1 the trace norm) bounds the distance from below.
-The solver tries the residual x - P(x) and, after each centering stage, the
-off-diagonal block of the barrier's G^-1, each projected off the span, and
-keeps the best.  `dist_to_system` returns upper and raises
+The solver starts at the HS projection P(x), with residual R = x - P(x), and
+returns that start when its certified gap ||R|| - ||R||_F^2 / ||R||_1 is
+already at most _GAP_TOL (x in the span, or R with equal singular values).
+Otherwise it also tries, after each centering stage, the off-diagonal block
+of the barrier's G^-1, projected off the span, and keeps the best Z.
+`dist_to_system` returns upper and raises
 np.linalg.LinAlgError when the two are more than _BRACKET_RTOL * max(1, upper)
 apart.
 """
@@ -211,28 +214,23 @@ def _min_affine_spectral(m0: np.ndarray, basis: np.ndarray) -> tuple[float, floa
 
     Barrier method on { (theta, t) : G = t*I - dilation(m0 + sum_j theta_j dirs_j) > 0 }
     with real theta, where dirs runs over b and i*b for each basis matrix b.
-    Returns (lower, upper): upper is the final t, and lower the best dual
-    certificate (module docstring) over Z = R = m0 - P(m0) and, after each
-    centering stage, Z = the top-right block of that stage's G^-1.
+    The start is the HS projection, y = -P(m0) with residual R = m0 - P(m0);
+    when its certified gap ||R|| - certificate(R) is already at most _GAP_TOL
+    it is returned as is.  Otherwise returns (lower, upper): upper is the final
+    t, and lower the best dual certificate (module docstring) over Z = R and,
+    after each centering stage, Z = the top-right block of that stage's G^-1.
     """
     r, c = m0.shape
     n = r + c
     k = len(basis)
     m = 2 * k
-    dirs = np.empty((m, r, c), dtype=complex)
-    dirs[0::2] = basis
-    dirs[1::2] = 1j * basis
-    w0 = _dilation(m0)
-    w = _dilation(dirs)
-    wflat = w.reshape(m, -1)
     frame = basis.reshape(k, -1)
 
-    # Frobenius least-squares start; its residual is R
-    a_cols = dirs.reshape(m, -1).T
-    a_real = np.vstack([a_cols.real, a_cols.imag])
-    b_real = np.concatenate([_vec(m0).real, _vec(m0).imag])
-    theta = np.linalg.lstsq(a_real, -b_real, rcond=None)[0]
-    resid = m0 + _combine(theta, dirs)
+    # Frobenius start: the HS projection, theta = -coords(m0), so the residual is R
+    coef = frame.conj() @ _vec(m0)
+    theta = np.empty(m)
+    theta[0::2], theta[1::2] = -coef.real, -coef.imag
+    resid = m0 - _combine(coef, basis)
 
     def certificate(z):
         # for Z HS-orthogonal to the span, |<Z, R>| = |<Z, m0 + y>| <= ||Z||_1 ||m0 + y||
@@ -241,10 +239,18 @@ def _min_affine_spectral(m0: np.ndarray, basis: np.ndarray) -> tuple[float, floa
         nuc = float(np.linalg.svd(z, compute_uv=False).sum())
         return float(abs(np.vdot(z, resid))) / nuc if nuc > 0 else 0.0
 
+    # the barrier's stopping rule at the start; min() absorbs R's bound rounding above t
     t = op_norm(resid)
-    t += max(1.0, 0.25 * t)
-    x = np.concatenate([theta, [t]])
     lower = certificate(resid)
+    if t - lower <= _GAP_TOL:
+        return min(lower, t), t
+    dirs = np.empty((m, r, c), dtype=complex)
+    dirs[0::2] = basis
+    dirs[1::2] = 1j * basis
+    w0 = _dilation(m0)
+    w = _dilation(dirs)
+    wflat = w.reshape(m, -1)
+    x = np.concatenate([theta, [t + max(1.0, 0.25 * t)]])
     eye = np.eye(n)
 
     def g_of(xv):
@@ -272,10 +278,7 @@ def _min_affine_spectral(m0: np.ndarray, basis: np.ndarray) -> tuple[float, floa
             grad[m] += tau
             hess = (s.reshape(m + 1, -1) @ np.swapaxes(s, 1, 2).reshape(m + 1, -1).T).real
             hess = (hess + hess.T) / 2
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(m + 1), -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            step = np.linalg.solve(hess + 1e-14 * np.eye(m + 1), -grad)
             decrement = float(-grad @ step)
             if not np.isfinite(decrement) or decrement <= 1e-11:
                 break
@@ -328,6 +331,8 @@ def is_product_closed(system: OperatorSystem) -> tuple[bool, float]:
     Only the pairs i <= j are solved: the span is *-closed and
     (b_i b_j*)* = b_j b_i*, and the operator norm is *-invariant, so
     dist(b_j b_i*, S) = dist(b_i b_j*, S).  That is k(k+1)/2 solves, not k^2.
+    On a closed span every product lies in it, so each solve is one projection
+    and no barrier stage, and the defect is at rounding level.
     The span counts as closed when the maximum is at most 1e-9.
     """
     basis = system.basis

@@ -17,7 +17,7 @@ from opsyslab import (
     system_to_json,
     unitary_defect,
 )
-from strategies import _conjugated, _ginibre, _random_system
+from strategies import _conjugated, _direct_sum, _ginibre, _random_system
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -128,6 +128,46 @@ def test_dist_bracket_certifies_distance(family, d, seed):
     assert upper == dist_to_system(x, s)
     # the span is *-closed and the norm *-invariant
     assert abs(dist_to_system(x.conj().T, s) - upper) <= 1e-9
+
+
+def _no_barrier_stage(m):
+    raise AssertionError("the span-distance solver built a barrier stage")
+
+
+def test_closed_spans_run_no_barrier_stage(monkeypatch):
+    # every product of a C*-algebra lies in its span, so each pair's projection
+    # start already certifies a gap under _GAP_TOL and the solver stops there
+    from opsyslab import systems
+
+    monkeypatch.setattr(systems, "_dilation", _no_barrier_stage)
+    rng = np.random.default_rng(41)
+    closed_spans = [*(full_matrix_algebra(d) for d in (1, 2, 4, 8)), diagonal_algebra(16),
+                    _direct_sum(rng, (2, 2, 4)), _direct_sum(rng, (4, 4, 8))]
+    for s in closed_spans:
+        closed, defect = is_product_closed(s)
+        assert closed and defect <= 1e-14
+
+
+def test_codimension_one_complement_is_exact(monkeypatch):
+    # the complement of span{1, e12, e21} in M_2 is spanned by e11 - e22, so every
+    # residual has equal singular values and the projection start is the optimum
+    from opsyslab import systems
+
+    monkeypatch.setattr(systems, "_dilation", _no_barrier_stage)
+    s = canonicalize([E12], 2)
+    lower, upper = dist_bracket(E11, s)
+    assert lower == pytest.approx(0.5, abs=1e-15) and upper == pytest.approx(0.5, abs=1e-15)
+    assert is_product_closed(s)[1] == pytest.approx(0.5, abs=1e-15)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(["span", "diag", "two"]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_members_bracket_zero(family, d, seed):
+    rng = np.random.default_rng(seed)
+    s = _random_system(family, d, rng)
+    x = s.from_coords(rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim))
+    lower, upper = dist_bracket(x, s)
+    assert 0 <= lower <= upper <= 1e-13
 
 
 def test_dist_to_system_reports_non_convergence(monkeypatch):
